@@ -15,10 +15,11 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from importlib import metadata as importlib_metadata
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .baselines import (
     IterationParams,
@@ -30,7 +31,13 @@ from .baselines import (
     kcore_ranking,
     z_eigen_ranking,
 )
-from .dataio import read_core, read_hypergraph, write_core, write_hypergraph
+from .dataio import (
+    default_labels,
+    read_core,
+    read_hypergraph,
+    write_core,
+    write_hypergraph,
+)
 from .evaluation import auprc, precision_at_core_size, sweep
 from .generators import (
     SbmParams,
@@ -81,7 +88,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ALL_METHODS
     iterations: int = 100
     seed: int = 0
-    output: str | None = None
     allow_unhit: bool = False
 
     def __post_init__(self) -> None:
@@ -92,6 +98,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown methods {unknown}; choose from {list(ALL_METHODS)}"
             )
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods repeated: {repeated}")
         if (self.input_path is None) == (self.sbm is None):
             raise ValueError("exactly one of input_path or sbm must be given")
         if self.input_path is not None and self.core_path is None:
@@ -122,11 +131,17 @@ def _version() -> str:
         return "unknown"
 
 
+class _UnhitEdgeError(ValueError):
+    """The core misses an edge; `recover --allow-unhit` drops such edges."""
+
+
 def _load(cfg: ExperimentConfig) -> tuple[Hypergraph, frozenset[int], list[str]]:
+    """The instance's graph and core, validated, plus notes for the '#' block."""
     notes: list[str] = []
     if cfg.sbm is not None:
         labeled = sbm_hypergraph(cfg.sbm)
         graph, core = labeled.graph, labeled.core
+        names = default_labels(graph.n)
         notes.append(
             "sbm core={0.core_size} fringe={0.fringe_size} r={0.r} "
             "p={0.p} q={0.q} seed={0.seed}".format(cfg.sbm)
@@ -134,24 +149,25 @@ def _load(cfg: ExperimentConfig) -> tuple[Hypergraph, frozenset[int], list[str]]
     else:
         graph, labels = read_hypergraph(cfg.input_path)
         core = read_core(cfg.core_path, labels)
+        names = list(labels)
         notes.append(f"input {cfg.input_path} core {cfg.core_path}")
     if cfg.r is not None:
         graph, remap = uniform_subhypergraph(graph, cfg.r)
         core = frozenset(remap[v] for v in core if v in remap)
+        names = [names[old] for old in sorted(remap, key=remap.get)]
         notes.append(f"restricted to {cfg.r}-uniform part: n={graph.n}, "
                      f"edges={len(graph.edges)}")
         if not core:
             raise ValueError(f"no core node remains in the {cfg.r}-uniform part")
-    unhit = [i for i, e in enumerate(graph.edges)
-             if not any(v in core for v in e)]
+    unhit = [e for e in graph.edges if core.isdisjoint(e)]
     if unhit:
         if not cfg.allow_unhit:
-            first = unhit[0]
-            raise ValueError(
-                f"core is not a hitting set: edge {first} "
-                f"{list(graph.edges[first])} is unhit (use --allow-unhit to drop)"
+            raise _UnhitEdgeError(
+                "core is not a hitting set: edge "
+                f"\"{' '.join(names[v] for v in unhit[0])}\" is unhit"
             )
-        keep = tuple(e for i, e in enumerate(graph.edges) if i not in set(unhit))
+        dropped = set(unhit)
+        keep = tuple(e for e in graph.edges if e not in dropped)
         graph = Hypergraph(n=graph.n, edges=keep)
         notes.append(f"dropped {len(unhit)} unhit edges (--allow-unhit)")
     LabeledHypergraph(graph=graph, core=core)
@@ -186,21 +202,15 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
                 wall_time=wall,
             )
         )
-    rows.sort(key=lambda row: (row.dataset, row.r, row.method))
     return rows, notes
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every selected method on the configured dataset and evaluate it.
 
-    Rows come back sorted by (dataset, r, method).  When cfg.output is set
-    the CSV (metadata block + deterministic body) is written there as well.
+    Rows come back sorted by (dataset, r, method).
     """
-    rows, notes = _execute(cfg)
-    if cfg.output is not None:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            write_results_csv(rows, fh, cfg, notes)
-    return rows
+    return _execute(cfg)[0]
 
 
 def write_results_csv(
@@ -258,7 +268,17 @@ def _parse_sbm_spec(spec: str, seed: int) -> SbmParams:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=str, default=None)
-    parser.add_argument("--format", choices=["csv"], default="csv")
+
+
+def _add_instance(parser: argparse.ArgumentParser) -> None:
+    """The options `_config` reads: one labeled instance and a round count."""
+    parser.add_argument("--input", type=str, default=None, help="hyperedge list file")
+    parser.add_argument("--core", type=str, default=None, help="core token file")
+    parser.add_argument("--sbm", type=str, default=None,
+                        help="generator spec core=..,fringe=..,r=..,p=..,q=..")
+    parser.add_argument("--r", type=int, default=None,
+                        help="restrict to the r-uniform sub-hypergraph")
+    parser.add_argument("--iterations", type=int, default=100)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,14 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rec = sub.add_parser("recover", help="run recovery methods on a dataset")
-    rec.add_argument("--input", type=str, default=None, help="hyperedge list file")
-    rec.add_argument("--core", type=str, default=None, help="core token file")
-    rec.add_argument("--sbm", type=str, default=None,
-                     help="generator spec core=..,fringe=..,r=..,p=..,q=..")
-    rec.add_argument("--r", type=int, default=None,
-                     help="restrict to the r-uniform sub-hypergraph")
+    _add_instance(rec)
     rec.add_argument("--methods", type=str, default=",".join(ALL_METHODS))
-    rec.add_argument("--iterations", type=int, default=100)
     rec.add_argument("--allow-unhit", action="store_true",
                      help="drop edges the core misses instead of failing")
     _add_common(rec)
@@ -297,45 +311,47 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="budget for U(k) and kernelization (default k*)")
     orc.add_argument("--limits-max-nodes", type=int, default=OracleLimits().max_nodes)
     orc.add_argument("--limits-max-k", type=int, default=OracleLimits().max_k)
-    _add_common(orc)
+    orc.add_argument("--output", type=str, default=None)
 
     swp = sub.add_parser("sweep", help="UMHS iteration curves as CSV")
-    swp.add_argument("--input", type=str, default=None)
-    swp.add_argument("--core", type=str, default=None)
-    swp.add_argument("--sbm", type=str, default=None)
-    swp.add_argument("--r", type=int, default=None)
-    swp.add_argument("--iterations", type=int, default=100)
+    _add_instance(swp)
     _add_common(swp)
     return parser
 
 
-def _open_output(path: str | None) -> TextIO:
+def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
+    """The ExperimentConfig of a recover or sweep command line."""
+    return ExperimentConfig(
+        dataset=Path(args.input).stem if args.input else "sbm",
+        input_path=args.input,
+        core_path=args.core,
+        sbm=_parse_sbm_spec(args.sbm, args.seed) if args.sbm else None,
+        r=args.r,
+        iterations=args.iterations,
+        seed=args.seed,
+        **fields,
+    )
+
+
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Standard output, or the file at path, closed on exit."""
     if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    sbm = _parse_sbm_spec(args.sbm, args.seed) if args.sbm else None
-    dataset = args.input if args.input else "sbm"
-    cfg = ExperimentConfig(
-        dataset=Path(dataset).stem if args.input else dataset,
-        input_path=args.input,
-        core_path=args.core,
-        sbm=sbm,
-        r=args.r,
-        methods=methods,
-        iterations=args.iterations,
-        seed=args.seed,
-        output=args.output,
-        allow_unhit=args.allow_unhit,
-    )
-    if cfg.output is None:
+    cfg = _config(args, methods=methods, allow_unhit=args.allow_unhit)
+    try:
         rows, notes = _execute(cfg)
-        write_results_csv(rows, sys.stdout, cfg, notes)
-    else:
-        run_experiment(cfg)
+    except _UnhitEdgeError as exc:
+        raise ValueError(f"{exc} (use --allow-unhit to drop)") from None
+    with _output(args.output) as out:
+        write_results_csv(rows, out, cfg, notes)
     return 0
 
 
@@ -357,7 +373,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph, _ = tree_family(tree_params)
         core = consistent_labeling_hitting_set(tree_params, args.seed)
     write_hypergraph(graph, f"{prefix}.edges")
-    write_core(core, f"{prefix}.core", labels=[f"v{i}" for i in range(graph.n)])
+    write_core(core, f"{prefix}.core")
     print(f"wrote {prefix}.edges ({graph.n} nodes, {len(graph.edges)} edges) "
           f"and {prefix}.core ({len(core)} nodes)")
     return 0
@@ -372,8 +388,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else k_star
     union = union_minimal(graph, k, limits)
     report = kernelize(graph, k, limits) if k >= 1 else None
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(f"nodes {graph.n}\n")
         out.write(f"edges {len(graph.edges)}\n")
         out.write(f"k_star {k_star}\n")
@@ -386,37 +401,23 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             out.write(f"kernel_phases {report.phases}\n")
             if report.infeasible:
                 out.write(f"no_hitting_set_within {k}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.sbm:
-        labeled = sbm_hypergraph(_parse_sbm_spec(args.sbm, args.seed))
-        graph, core = labeled.graph, labeled.core
-    else:
-        if not args.input or not args.core:
-            raise ValueError("sweep needs --input and --core, or --sbm")
-        graph, labels = read_hypergraph(args.input)
-        core = read_core(args.core, labels)
-    if args.r is not None:
-        graph, remap = uniform_subhypergraph(graph, args.r)
-        core = frozenset(remap[v] for v in core if v in remap)
-    records = sweep(graph, core, args.iterations, args.seed)
-    out = _open_output(args.output)
-    try:
-        out.write(f"# umhs {_version()} sweep seed {args.seed}\n")
+    cfg = _config(args)
+    graph, core, notes = _load(cfg)
+    records = sweep(graph, core, cfg.iterations, cfg.seed)
+    with _output(args.output) as out:
+        out.write(f"# umhs {_version()} sweep seed {cfg.seed}\n")
+        for note in notes:
+            out.write(f"# {note}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["iteration", "union_size", "recovered_fraction"])
         for rec in records:
             writer.writerow(
                 [rec.iteration, rec.union_size, f"{rec.recovered_fraction:.12g}"]
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

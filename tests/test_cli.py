@@ -49,6 +49,14 @@ class TestExperimentConfig:
                 dataset="d", sbm=SbmParams(3, 3, 2, 0.5, 0.5), methods=("pagerank",)
             )
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="repeated.*umhs"):
+            ExperimentConfig(
+                dataset="d",
+                sbm=SbmParams(3, 3, 2, 0.5, 0.5),
+                methods=("umhs", "degree", "umhs"),
+            )
+
 
 class TestRunExperiment:
     def test_all_methods_give_seven_rows(self):
@@ -203,17 +211,6 @@ class TestCliRecover:
         assert code == 0
         assert len(parse_rows(out)) == 2
 
-    def test_unhit_core_fails_loudly(self, tmp_path, capsys):
-        edges = tmp_path / "g.edges"
-        edges.write_text("a b c\nc d e\n")
-        corefile = tmp_path / "g.core"
-        corefile.write_text("a\n")
-        code, _, err = run_cli(
-            ["recover", "--input", str(edges), "--core", str(corefile)], capsys
-        )
-        assert code == 1
-        assert "unhit" in err or "edge" in err
-
     def test_allow_unhit_drops_and_continues(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
         edges.write_text("a b c\nc d e\n")
@@ -234,20 +231,6 @@ class TestCliRecover:
         )
         assert code == 0
         assert "dropped" in out
-
-    def test_missing_input_file(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            [
-                "recover",
-                "--input",
-                str(tmp_path / "absent.edges"),
-                "--core",
-                str(tmp_path / "absent.core"),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert err.strip()
 
     def test_r_filter_restricts_uniformity(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
@@ -275,6 +258,68 @@ class TestCliRecover:
         code, _, err = run_cli(["recover", "--sbm", "core=5"], capsys)
         assert code == 1
         assert err.strip()
+
+
+@pytest.mark.parametrize("command", ["recover", "sweep"])
+class TestCliLoader:
+    """recover and sweep load and validate an instance the same way."""
+
+    def write_instance(self, tmp_path, core):
+        edges = tmp_path / "g.edges"
+        edges.write_text("a b c\nc d e\n")
+        corefile = tmp_path / "g.core"
+        corefile.write_text(core)
+        return str(edges), str(corefile)
+
+    def test_unhit_core_fails_loudly(self, command, tmp_path, capsys):
+        edges, corefile = self.write_instance(tmp_path, "a\n")
+        code, out, err = run_cli(
+            [command, "--input", edges, "--core", corefile], capsys
+        )
+        assert code == 1
+        assert not out
+        assert 'edge "c d e" is unhit' in err
+        assert ("--allow-unhit" in err) == (command == "recover")
+
+    def test_missing_input_file(self, command, tmp_path, capsys):
+        code, _, err = run_cli(
+            [
+                command,
+                "--input",
+                str(tmp_path / "absent.edges"),
+                "--core",
+                str(tmp_path / "absent.core"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert err.strip()
+
+    def test_input_and_sbm_rejected(self, command, tmp_path, capsys):
+        edges, corefile = self.write_instance(tmp_path, "c\n")
+        code, out, err = run_cli(
+            [command, "--input", edges, "--core", corefile, "--sbm", SBM_SPEC],
+            capsys,
+        )
+        assert code == 1
+        assert not out
+        assert "exactly one" in err
+
+    def test_input_needs_core(self, command, tmp_path, capsys):
+        edges, _ = self.write_instance(tmp_path, "c\n")
+        code, out, err = run_cli([command, "--input", edges], capsys)
+        assert code == 1
+        assert not out
+        assert "core" in err
+
+    def test_notes_in_metadata_block(self, command, tmp_path, capsys):
+        edges, corefile = self.write_instance(tmp_path, "c\n")
+        code, out, _ = run_cli(
+            [command, "--input", edges, "--core", corefile, "--iterations", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert f"# input {edges} core {corefile}" in out.splitlines()
 
 
 class TestCliGenerate:
@@ -391,3 +436,35 @@ class TestCliSweep:
         assert set(rows[0]) == {"iteration", "union_size", "recovered_fraction"}
         sizes = [int(row["union_size"]) for row in rows]
         assert sizes == sorted(sizes)
+
+
+def without_wall_times(text):
+    return "".join(
+        line
+        for line in text.splitlines(keepends=True)
+        if not line.startswith("# wall_time")
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--sbm", SBM_SPEC, "--methods", "umhs,degree", "--iterations", "5"],
+        ["sweep", "--sbm", SBM_SPEC, "--iterations", "5"],
+        ["oracle"],
+    ],
+    ids=["recover", "sweep", "oracle"],
+)
+def test_output_file_matches_stdout(argv, tmp_path, capsys):
+    if argv == ["oracle"]:
+        edges = tmp_path / "g.edges"
+        edges.write_text("a b\nb c\nc d\n")
+        argv = ["oracle", "--input", str(edges)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    out_path = tmp_path / "out.txt"
+    code, printed, _ = run_cli(argv + ["--output", str(out_path)], capsys)
+    assert code == 0
+    assert printed == ""
+    written = out_path.read_bytes().decode("utf-8")
+    assert without_wall_times(written) == without_wall_times(out)
