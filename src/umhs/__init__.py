@@ -18,7 +18,14 @@ from .baselines import (
     kcore_ranking,
     z_eigen_ranking,
 )
-from .evaluation import PrCurve, SweepRecord, auprc, precision_at_core_size, sweep
+from .evaluation import (
+    PrCurve,
+    SweepRecord,
+    SweepResult,
+    auprc,
+    precision_at_core_size,
+    sweep,
+)
 from .generators import (
     SbmParams,
     TreeFamilyParams,
@@ -111,6 +118,7 @@ __all__ = [
     "kcore_ranking",
     "PrCurve",
     "SweepRecord",
+    "SweepResult",
     "precision_at_core_size",
     "auprc",
     "sweep",

@@ -102,9 +102,11 @@ class ExperimentConfig:
         if repeated:
             raise ValueError(f"methods repeated: {repeated}")
         if (self.input_path is None) == (self.sbm is None):
-            raise ValueError("exactly one of input_path or sbm must be given")
+            raise ValueError("exactly one of --input or --sbm must be given")
         if self.input_path is not None and self.core_path is None:
             raise ValueError("a core file is required with --input")
+        if self.sbm is not None and self.core_path is not None:
+            raise ValueError("--core cannot be combined with --sbm")
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,7 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             result = umhs(graph, UmhsConfig(iterations=cfg.iterations, seed=cfg.seed))
             ranking = rank_nodes(graph, result.union_set)
             output_size = len(result.union_set)
+            notes.append(f"saturation_round {result.saturation_round}")
         else:
             ranking = _BASELINE_FNS[method](graph, it)
             output_size = graph.n
@@ -407,14 +410,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config(args)
     graph, core, notes = _load(cfg)
-    records = sweep(graph, core, cfg.iterations, cfg.seed)
+    result = sweep(graph, core, cfg.iterations, cfg.seed)
     with _output(args.output) as out:
         out.write(f"# umhs {_version()} sweep seed {cfg.seed}\n")
         for note in notes:
             out.write(f"# {note}\n")
+        out.write(f"# saturation_round {result.saturation_round}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["iteration", "union_size", "recovered_fraction"])
-        for rec in records:
+        for rec in result.records:
             writer.writerow(
                 [rec.iteration, rec.union_size, f"{rec.recovered_fraction:.12g}"]
             )

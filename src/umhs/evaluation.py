@@ -31,6 +31,15 @@ class SweepRecord:
     recovered_fraction: float
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """Per-iteration records of one UMHS run, and the run's saturation round
+    (see :class:`~umhs.recovery.UmhsResult`)."""
+
+    records: tuple[SweepRecord, ...]
+    saturation_round: int
+
+
 def _core_set(ranking: Ranking, core: Iterable[int]) -> frozenset[int]:
     s = frozenset(core)
     if not s:
@@ -68,9 +77,7 @@ def auprc(ranking: Ranking, core: Iterable[int]) -> tuple[float, PrCurve]:
     return total / len(s), PrCurve(points=tuple(points), positives=len(s))
 
 
-def sweep(
-    G: Hypergraph, core: Iterable[int], n_max: int, seed: int
-) -> list[SweepRecord]:
+def sweep(G: Hypergraph, core: Iterable[int], n_max: int, seed: int) -> SweepResult:
     """Per-iteration union size and recovered core fraction of one UMHS run."""
     s = frozenset(core)
     if not s:
@@ -78,11 +85,12 @@ def sweep(
     cfg = UmhsConfig(iterations=n_max, seed=seed, record_trajectory=True)
     result = umhs(G, cfg, core=s)
     assert result.trajectory is not None
-    return [
+    records = tuple(
         SweepRecord(
             iteration=i,
             union_size=size,
             recovered_fraction=(overlap or 0) / len(s),
         )
         for i, (size, overlap) in enumerate(result.trajectory, start=1)
-    ]
+    )
+    return SweepResult(records=records, saturation_round=result.saturation_round)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,6 +65,35 @@ class Hypergraph:
                 lists[v].append(idx)
         return tuple(tuple(lst) for lst in lists)
 
+    @cached_property
+    def edge_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (indptr, nodes) CSR form of :attr:`edges`.
+
+        nodes[indptr[i]:indptr[i + 1]] are the int32 members of edge i,
+        ascending; indptr has m + 1 entries.
+        """
+        sizes = np.fromiter(map(len, self.edges), dtype=np.intp, count=len(self.edges))
+        indptr = np.zeros(len(self.edges) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=indptr[1:])
+        nodes = np.fromiter(
+            chain.from_iterable(self.edges), dtype=np.int32, count=int(indptr[-1])
+        )
+        return _read_only(indptr), _read_only(nodes)
+
+    @cached_property
+    def incidence_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (indptr, indices) CSR form of :attr:`incidence`.
+
+        indices[indptr[v]:indptr[v + 1]] are the int32 indices of the edges
+        containing node v, ascending; indptr has n + 1 entries.
+        """
+        edge_ptr, members = self.edge_csr
+        edge_ids = np.repeat(np.arange(len(self.edges), dtype=np.int32), np.diff(edge_ptr))
+        indices = edge_ids[np.argsort(members, kind="stable")]
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(members, minlength=self.n), out=indptr[1:])
+        return _read_only(indptr), _read_only(indices)
+
     def degree(self, v: int) -> int:
         """Number of hyperedges containing node v."""
         if not 0 <= v < self.n:
@@ -73,6 +103,11 @@ class Hypergraph:
     def degrees(self) -> tuple[int, ...]:
         """Degree of every node, indexed by node."""
         return tuple(len(self.incidence[v]) for v in range(self.n))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -158,9 +193,8 @@ def prune_to_minimal(
 
     Nodes are examined in removal_order (which must be a permutation of the
     hitting set); a node is dropped when every edge containing it retains
-    another member.  Passes repeat until a fixed point, though a single pass
-    already reaches minimality: a survivor privately covers some edge, and
-    later removals never take that private edge away.
+    another member.  One pass reaches minimality: a survivor privately
+    covers some edge, and later removals never take that private edge away.
 
     Raises:
         ValueError: if hitting_set does not hit every edge, or removal_order
@@ -174,19 +208,12 @@ def prune_to_minimal(
         bad = next(i for i, c in enumerate(counts) if c == 0)
         raise ValueError(f"not a hitting set: edge {bad} {list(graph.edges[bad])} is unhit")
 
-    order = list(removal_order)
-    while True:
-        removed_any = False
-        for v in order:
-            if v not in current:
-                continue
-            if all(counts[idx] >= 2 for idx in graph.incidence[v]):
-                current.remove(v)
-                for idx in graph.incidence[v]:
-                    counts[idx] -= 1
-                removed_any = True
-        if not removed_any:
-            return frozenset(current)
+    for v in removal_order:
+        if all(counts[idx] >= 2 for idx in graph.incidence[v]):
+            current.remove(v)
+            for idx in graph.incidence[v]:
+                counts[idx] -= 1
+    return frozenset(current)
 
 
 def clique_graph(graph: Hypergraph) -> np.ndarray:

@@ -343,7 +343,7 @@ def test_c11_iteration_leveling(recovery_instances):
     started = time.perf_counter()
     leveled = 0
     for lab, params in zip(recovery_instances, SBM_RECOVERY):
-        records = sweep(lab.graph, lab.core, 200, seed=params.seed)
+        records = sweep(lab.graph, lab.core, 200, seed=params.seed).records
         sizes = {rec.iteration: rec.union_size for rec in records}
         ordered = [rec.union_size for rec in records]
         assert ordered == sorted(ordered), "union size must be non-decreasing"

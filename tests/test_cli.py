@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from umhs import SbmParams, sbm_hypergraph
+from umhs import SbmParams, UmhsConfig, sbm_hypergraph, umhs
 from umhs.cli import ExperimentConfig, main, run_experiment, write_results_csv
 
 SBM_SPEC = "core=5,fringe=12,r=3,p=0.6,q=0.05"
@@ -311,6 +311,31 @@ class TestCliLoader:
         assert code == 1
         assert not out
         assert "core" in err
+
+    def test_core_with_sbm_rejected(self, command, tmp_path, capsys):
+        code, out, err = run_cli(
+            [command, "--sbm", SBM_SPEC, "--core", str(tmp_path / "absent.core")],
+            capsys,
+        )
+        assert code == 1
+        assert not out
+        assert "--core cannot be combined with --sbm" in err
+
+    def test_missing_source_names_the_flags(self, command, capsys):
+        code, out, err = run_cli([command], capsys)
+        assert code == 1
+        assert not out
+        assert "exactly one of --input or --sbm" in err
+
+    def test_saturation_round_in_metadata_block(self, command, capsys):
+        argv = [command, "--sbm", SBM_SPEC, "--iterations", "12", "--seed", "4"]
+        if command == "recover":
+            argv += ["--methods", "umhs"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        graph = sbm_hypergraph(SbmParams(5, 12, 3, 0.6, 0.05, seed=4)).graph
+        result = umhs(graph, UmhsConfig(iterations=12, seed=4))
+        assert f"# saturation_round {result.saturation_round}" in out.splitlines()
 
     def test_notes_in_metadata_block(self, command, tmp_path, capsys):
         edges, corefile = self.write_instance(tmp_path, "c\n")

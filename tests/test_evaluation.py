@@ -101,7 +101,7 @@ class TestSweep:
     def test_single_iteration_record(self):
         G = random_hypergraph(10, 3, 9, seed=2)
         core = umhs(G, UmhsConfig(iterations=1, seed=0)).union_set
-        records = sweep(G, core, 1, seed=0)
+        records = sweep(G, core, 1, seed=0).records
         assert len(records) == 1
         assert records[0].iteration == 1
         assert records[0].union_size == len(core)
@@ -110,7 +110,7 @@ class TestSweep:
     def test_union_sizes_non_decreasing(self):
         G = random_hypergraph(12, 3, 14, seed=5)
         core = umhs(G, UmhsConfig(iterations=1, seed=99)).union_set
-        records = sweep(G, core, 40, seed=1)
+        records = sweep(G, core, 40, seed=1).records
         sizes = [rec.union_size for rec in records]
         assert sizes == sorted(sizes)
         assert [rec.iteration for rec in records] == list(range(1, 41))
@@ -118,16 +118,17 @@ class TestSweep:
     def test_recovered_fraction_monotone(self):
         G = random_hypergraph(12, 3, 14, seed=5)
         core = umhs(G, UmhsConfig(iterations=1, seed=99)).union_set
-        records = sweep(G, core, 40, seed=1)
+        records = sweep(G, core, 40, seed=1).records
         assert records[-1].recovered_fraction >= records[0].recovered_fraction
         assert all(0.0 <= rec.recovered_fraction <= 1.0 for rec in records)
 
     def test_matches_umhs_trajectory(self):
         G = random_hypergraph(10, 3, 10, seed=7)
         core = umhs(G, UmhsConfig(iterations=1, seed=50)).union_set
-        records = sweep(G, core, 15, seed=3)
+        result = sweep(G, core, 15, seed=3)
         direct = umhs(G, UmhsConfig(iterations=15, seed=3, record_trajectory=True), core=core)
-        assert [rec.union_size for rec in records] == [s for s, _ in direct.trajectory]
+        assert [rec.union_size for rec in result.records] == [s for s, _ in direct.trajectory]
+        assert result.saturation_round == direct.saturation_round
 
     def test_deterministic(self):
         G = random_hypergraph(10, 3, 10, seed=7)

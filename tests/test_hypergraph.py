@@ -117,6 +117,42 @@ class TestHypergraph:
         assert sum(G.degrees()) == sum(len(e) for e in G.edges)
 
 
+def mixed_sizes():
+    """Edges of sizes 1 to 3 and an isolated node 5."""
+    return Hypergraph(n=6, edges=((0, 1, 2), (1,), (2, 3), (3, 4)))
+
+
+class TestArrayViews:
+    @pytest.mark.parametrize(
+        "G", [mixed_sizes(), two_triples(), Hypergraph(n=3, edges=()), Hypergraph(n=0, edges=())]
+    )
+    def test_views_match_edges_and_incidence(self, G):
+        self.check_views(G)
+
+    @given(random_instances())
+    @settings(max_examples=50, deadline=None)
+    def test_views_property(self, G):
+        self.check_views(G)
+
+    def check_views(self, G):
+        edge_ptr, nodes = G.edge_csr
+        assert edge_ptr.shape == (len(G.edges) + 1,) and nodes.dtype == np.int32
+        for i, edge in enumerate(G.edges):
+            assert tuple(nodes[edge_ptr[i]:edge_ptr[i + 1]].tolist()) == edge
+        indptr, indices = G.incidence_csr
+        assert indptr.shape == (G.n + 1,) and indices.dtype == np.int32
+        for v, edge_ids in enumerate(G.incidence):
+            assert tuple(indices[indptr[v]:indptr[v + 1]].tolist()) == edge_ids
+
+    def test_views_are_read_only_and_cached(self):
+        G = mixed_sizes()
+        for view in (*G.edge_csr, *G.incidence_csr):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+        assert G.edge_csr is G.edge_csr
+        assert G.incidence_csr is G.incidence_csr
+
+
 class TestHittingSets:
     def test_shared_node_hits_both(self):
         assert is_hitting_set(two_triples(), {2})

@@ -1,6 +1,12 @@
 """Tests for greedy matching, the UMHS union loop, and member-first ranking."""
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umhs import (
+    Hypergraph,
     OracleLimits,
     UmhsConfig,
     canonicalize,
@@ -22,6 +29,7 @@ from umhs import (
     umhs,
     union_minimal,
 )
+from umhs import recovery
 
 LIMITS = OracleLimits(max_nodes=26, max_k=12, time_budget=60.0)
 
@@ -162,6 +170,16 @@ class TestUmhs:
         assert all(ov is not None for ov in overlaps)
         assert overlaps == sorted(overlaps)
 
+    def test_saturation_round_is_last_growth(self):
+        G = random_hypergraph(12, 3, 12, seed=9)
+        result = umhs(G, UmhsConfig(iterations=25, seed=2, record_trajectory=True))
+        sizes = [0] + [size for size, _ in result.trajectory]
+        grew = [i for i in range(1, 26) if sizes[i] > sizes[i - 1]]
+        assert result.saturation_round == grew[-1]
+        path = canonicalize(3, [[0, 1], [1, 2]])
+        assert umhs(path, UmhsConfig(iterations=20, seed=0)).saturation_round == 1
+        assert umhs(canonicalize(3, []), UmhsConfig(iterations=5)).saturation_round == 0
+
     def test_trajectory_overlap_none_without_core(self):
         G = random_hypergraph(8, 3, 6, seed=4)
         result = umhs(G, UmhsConfig(iterations=4, seed=0, record_trajectory=True))
@@ -176,6 +194,137 @@ class TestUmhs:
             UmhsConfig(iterations=0)
         with pytest.raises(ValueError):
             UmhsConfig(seed=-1)
+
+
+def reference_round(G, seed, i):
+    """Round i of UMHS through the single-round reference functions."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+    hit, _ = greedy_matching_certificate(G, rng.permutation(len(G.edges)))
+    removal = [v for v in rng.permutation(G.n).tolist() if v in hit]
+    return prune_to_minimal(G, hit, removal)
+
+
+def reference_umhs(G, iterations, seed, core):
+    """(union, trajectory, saturation round) from a round-by-round loop."""
+    union, trajectory, saturation = set(), [], 0
+    for i in range(1, iterations + 1):
+        minimal = reference_round(G, seed, i)
+        if not minimal <= union:
+            saturation = i
+        union |= minimal
+        trajectory.append((len(union), len(union & core)))
+    return union, tuple(trajectory), saturation
+
+
+@st.composite
+def mixed_hypergraphs(draw):
+    """Edges of sizes 1-4 and isolated nodes, including m = 0 and n = 0."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    if n == 0:
+        return Hypergraph(n=0, edges=())
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(
+        st.sets(st.frozensets(nodes, min_size=1, max_size=min(4, n)), max_size=14)
+    )
+    return Hypergraph(n=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges)))
+
+
+class TestLockstepRounds:
+    @given(
+        mixed_hypergraphs(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=50),
+        st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_reference_rounds(self, G, seed, lo, block_sizes):
+        # the rounds lo.. split into consecutive blocks of the drawn sizes
+        bounds = np.cumsum([lo] + block_sizes).tolist()
+        rows = np.concatenate(
+            [
+                recovery._lockstep_rounds(G, seed, start, stop)
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+        )
+        assert rows.shape == (bounds[-1] - lo, G.n)
+        for b, i in enumerate(range(lo, bounds[-1])):
+            assert frozenset(np.flatnonzero(rows[b]).tolist()) == reference_round(
+                G, seed, i
+            ), f"round {i}"
+
+    @given(
+        mixed_hypergraphs(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_union_and_trajectory_match_reference(self, G, seed, iterations, block):
+        core = frozenset(range(0, G.n, 2))
+        cfg = UmhsConfig(iterations=iterations, seed=seed, record_trajectory=True)
+        with mock.patch.object(recovery, "_block_size", lambda G, it: block):
+            result = umhs(G, cfg, core=core)
+        union, trajectory, saturation = reference_umhs(G, iterations, seed, core)
+        assert result.union_set == union
+        assert result.trajectory == trajectory
+        assert result.saturation_round == saturation
+
+    def test_derived_block_keeps_permutations_near_one_mib(self):
+        G = random_hypergraph(300, 3, 5000, seed=0)
+        assert recovery._block_size(G, 100) == 2**20 // (4 * 5000)
+        assert recovery._block_size(G, 10) == 10
+        assert recovery._block_size(canonicalize(0, []), 100) == 100
+
+    def test_peak_memory_bounded(self):
+        G = random_hypergraph(300, 3, 5000, seed=0)
+        tracemalloc.start()
+        try:
+            umhs(G, UmhsConfig(iterations=100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"umhs peaked at {peak} bytes"
+
+    def test_peak_memory_bounded_with_a_hub_node(self):
+        # a hub in every edge: a view padded to the largest degree would
+        # take n * 4000 int32 slots (64 MB); the CSR views take 8000
+        leaves = 4000
+        G = Hypergraph(n=leaves + 1, edges=tuple((0, v) for v in range(1, leaves + 1)))
+        tracemalloc.start()
+        try:
+            result = umhs(G, UmhsConfig(iterations=100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.union_set == {0}
+        assert peak < 8_000_000, f"umhs peaked at {peak} bytes"
+
+    def test_optimized_mode_gives_same_result(self):
+        # python -O strips the per-block minimality check; it must not
+        # change what umhs returns
+        script = (
+            "import sys\n"
+            "from umhs import UmhsConfig, random_hypergraph, umhs\n"
+            "G = random_hypergraph(40, 5, 90, seed=3)\n"
+            "cfg = UmhsConfig(iterations=60, seed=8, record_trajectory=True)\n"
+            "r = umhs(G, cfg, core=range(0, 40, 3))\n"
+            "print(sys.flags.optimize, sorted(r.union_set), r.trajectory, "
+            "r.saturation_round)\n"
+        )
+        src = str(Path(recovery.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, *flags, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout.split(" ", 1)
+            for flags in ([], ["-O"])
+        ]
+        assert [flag for flag, _ in outputs] == ["0", "1"]
+        assert outputs[0][1] == outputs[1][1]
 
 
 class TestRankNodes:
