@@ -10,6 +10,7 @@ rankings bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +35,9 @@ class IterationParams:
 class Ranking:
     """Scores per node plus the induced order, best first.
 
-    converged/residual describe the fixed-point iteration when one was used;
-    note carries method metadata such as the solver variant.
+    converged/residual/iterations describe the fixed-point iteration when
+    one was used (iterations is 0 when none was); note carries method
+    metadata such as the solver variant.
     """
 
     scores: tuple[float, ...]
@@ -43,6 +45,7 @@ class Ranking:
     converged: bool = True
     residual: float = 0.0
     note: str = ""
+    iterations: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.scores)
@@ -61,6 +64,7 @@ class Ranking:
         converged: bool = True,
         residual: float = 0.0,
         note: str = "",
+        iterations: int = 0,
     ) -> "Ranking":
         values = tuple(float(s) for s in scores)
         order = tuple(sorted(range(len(values)), key=lambda v: (-values[v], v)))
@@ -70,6 +74,7 @@ class Ranking:
             converged=converged,
             residual=residual,
             note=note,
+            iterations=iterations,
         )
 
 
@@ -78,30 +83,50 @@ def degree_ranking(G: Hypergraph) -> Ranking:
     return Ranking.from_scores(G.degrees())
 
 
-def _power_iteration(
-    w: np.ndarray, it: IterationParams, norm_ord: int
-) -> tuple[np.ndarray, bool, float]:
-    """Dominant-eigenvector iteration for a nonnegative symmetric matrix.
+def _fixed_point(
+    apply: Callable[[np.ndarray], np.ndarray],
+    normalize: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    it: IterationParams,
+) -> tuple[np.ndarray, bool, float, int]:
+    """Iterate x <- apply(x) / normalize(apply(x)) from x0.
 
-    Iterates x <- (W x + x) / norm, the usual shift that defeats the sign
-    oscillation on bipartite weight patterns without changing the leading
-    eigenvector.  Returns the last iterate, a convergence flag, and the
-    final L1 residual.
+    Stops when the L1 change drops below the tolerance, or after
+    it.max_iters applications.  A zero norm ends the iteration at once as
+    converged, returning that zero iterate with residual 0.  Returns the
+    last iterate, a convergence flag, the final L1 residual and the number
+    of applications made.
     """
-    n = w.shape[0]
-    x = np.full(n, 1.0 / n)
+    x = x0
     residual = float("inf")
-    for _ in range(it.max_iters):
-        y = w @ x + x
-        total = np.linalg.norm(y, ord=norm_ord)
+    for step in range(1, it.max_iters + 1):
+        y = apply(x)
+        total = normalize(y)
         if total == 0.0:
-            return x, True, 0.0
+            return y, True, 0.0, step
         y /= total
         residual = float(np.abs(y - x).sum())
         x = y
         if residual < it.tolerance:
-            return x, True, residual
-    return x, False, residual
+            return x, True, residual, step
+    return x, False, residual, it.max_iters
+
+
+def _power_iteration(
+    w: np.ndarray, it: IterationParams, norm_ord: int
+) -> tuple[np.ndarray, bool, float, int]:
+    """Dominant eigenvector of a nonnegative symmetric matrix.
+
+    Iterates x <- (W x + x) / norm from a uniform start, the usual shift
+    that defeats the sign oscillation on bipartite weight patterns without
+    changing the leading eigenvector.
+    """
+    return _fixed_point(
+        lambda x: w @ x + x,
+        lambda y: np.linalg.norm(y, ord=norm_ord),
+        np.full(w.shape[0], 1.0 / w.shape[0]),
+        it,
+    )
 
 
 def _components(G: Hypergraph) -> list[list[int]]:
@@ -130,7 +155,8 @@ def clique_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ra
     Each connected component is solved independently by L1-normalized power
     iteration, then scaled so its maximum score equals the component's share
     of the total edge weight; isolated nodes score 0.  An edgeless input
-    yields uniform zero scores in index order.
+    yields uniform zero scores in index order.  The reported residual and
+    iteration count are the largest over the components.
     """
     it = it or IterationParams()
     w = clique_graph(G)
@@ -138,6 +164,7 @@ def clique_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ra
     scores = np.zeros(G.n)
     converged = True
     residual = 0.0
+    iterations = 0
     if total_weight > 0:
         for comp in _components(G):
             if len(comp) < 2:
@@ -147,13 +174,16 @@ def clique_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ra
             comp_weight = float(sub.sum()) / 2.0
             if comp_weight == 0.0:
                 continue
-            x, ok, res = _power_iteration(sub, it, norm_ord=1)
+            x, ok, res, steps = _power_iteration(sub, it, norm_ord=1)
             peak = float(x.max())
             share = comp_weight / total_weight
             scores[idx] = x * (share / peak)
             converged = converged and ok
             residual = max(residual, res)
-    return Ranking.from_scores(scores, converged=converged, residual=residual)
+            iterations = max(iterations, steps)
+    return Ranking.from_scores(
+        scores, converged=converged, residual=residual, iterations=iterations
+    )
 
 
 def _uniform_rank(G: Hypergraph) -> int:
@@ -168,17 +198,23 @@ def _uniform_rank(G: Hypergraph) -> int:
 
 
 def _tensor_apply(G: Hypergraph, x: np.ndarray) -> np.ndarray:
-    """f(x)_i = sum over edges containing i of the product of the other members."""
-    f = np.zeros(G.n)
-    for edge in G.edges:
-        vals = [x[v] for v in edge]
-        for pos, v in enumerate(edge):
-            prod = 1.0
-            for j, val in enumerate(vals):
-                if j != pos:
-                    prod *= val
-            f[v] += prod
-    return f
+    """f(x)_i = sum over edges containing i of the product of the other members.
+
+    G must be uniform with at least one edge.  Each product multiplies the
+    other members' values left to right, and bincount adds the products up
+    in edge order, so the result is the same float for float as the plain
+    loop over edges; no division is involved, so zeros in x need no
+    special case.
+    """
+    _, members = G.edge_csr
+    m = len(G.edges)
+    values = x[members].reshape(m, -1)
+    prods = np.ones(values.shape)
+    for pos in range(values.shape[1]):
+        for j in range(values.shape[1]):
+            if j != pos:
+                prods[:, pos] *= values[:, j]
+    return np.bincount(members, weights=prods.reshape(-1), minlength=G.n)
 
 
 def z_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ranking:
@@ -195,25 +231,16 @@ def z_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ranking
             np.zeros(G.n), note="z-eigenvector (edgeless input)"
         )
     _uniform_rank(G)
-    x = np.full(G.n, 1.0 / max(G.n, 1))
-    residual = float("inf")
-    converged = False
-    for _ in range(it.max_iters):
-        f = _tensor_apply(G, x)
-        nrm = float(np.linalg.norm(f, ord=2))
-        if nrm == 0.0:
-            x = f
-            converged = True
-            residual = 0.0
-            break
-        f /= nrm
-        residual = float(np.abs(f - x).sum())
-        x = f
-        if residual < it.tolerance:
-            converged = True
-            break
+    x, converged, residual, steps = _fixed_point(
+        lambda x: _tensor_apply(G, x),
+        lambda f: float(np.linalg.norm(f, ord=2)),
+        np.full(G.n, 1.0 / G.n),
+        it,
+    )
     note = "z-eigenvector" if converged else "z-eigenvector (no convergence)"
-    return Ranking.from_scores(x, converged=converged, residual=residual, note=note)
+    return Ranking.from_scores(
+        x, converged=converged, residual=residual, note=note, iterations=steps
+    )
 
 
 def h_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ranking:
@@ -227,27 +254,17 @@ def h_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ranking
         return Ranking.from_scores(
             np.zeros(G.n), note="h-eigenvector (edgeless input)"
         )
-    r = _uniform_rank(G)
-    x = np.full(G.n, 1.0 / max(G.n, 1))
-    residual = float("inf")
-    converged = False
-    exponent = 1.0 / (r - 1)
-    for _ in range(it.max_iters):
-        g = _tensor_apply(G, x) ** exponent
-        total = float(g.sum())
-        if total == 0.0:
-            x = g
-            converged = True
-            residual = 0.0
-            break
-        g /= total
-        residual = float(np.abs(g - x).sum())
-        x = g
-        if residual < it.tolerance:
-            converged = True
-            break
+    exponent = 1.0 / (_uniform_rank(G) - 1)
+    x, converged, residual, steps = _fixed_point(
+        lambda x: _tensor_apply(G, x) ** exponent,
+        lambda g: float(g.sum()),
+        np.full(G.n, 1.0 / G.n),
+        it,
+    )
     note = "h-eigenvector" if converged else "h-eigenvector (no convergence)"
-    return Ranking.from_scores(x, converged=converged, residual=residual, note=note)
+    return Ranking.from_scores(
+        x, converged=converged, residual=residual, note=note, iterations=steps
+    )
 
 
 def borgatti_everett_ranking(
@@ -265,9 +282,9 @@ def borgatti_everett_ranking(
     note = "borgatti-everett continuous (dominant eigenvector)"
     if float(w.sum()) == 0.0:
         return Ranking.from_scores(np.zeros(G.n), note=note)
-    x, converged, residual = _power_iteration(w, it, norm_ord=2)
+    x, converged, residual, steps = _power_iteration(w, it, norm_ord=2)
     return Ranking.from_scores(
-        x, converged=converged, residual=residual, note=note
+        x, converged=converged, residual=residual, note=note, iterations=steps
     )
 
 

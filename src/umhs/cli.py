@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -74,6 +75,12 @@ _BASELINE_FNS: dict[str, Callable[..., Ranking]] = {
     "borgatti-everett": borgatti_everett_ranking,
     "k-core": lambda g, it: kcore_ranking(g),
 }
+
+# Methods that run a fixed-point solver; recover reports how each one ended.
+_ITERATIVE = frozenset({"clique-eigen", "z-eigen", "h-eigen", "borgatti-everett"})
+
+# Methods defined on uniform inputs only; recover skips them on other inputs.
+_UNIFORM_ONLY = frozenset({"z-eigen", "h-eigen"})
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,7 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     r_value = cfg.r if cfg.r is not None else graph.rank
     it = IterationParams()
     rows: list[ResultRow] = []
+    skipped: list[str] = []
     for method in sorted(cfg.methods):
         started = time.perf_counter()
         if method == "umhs":
@@ -189,8 +197,19 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             output_size = len(result.union_set)
             notes.append(f"saturation_round {result.saturation_round}")
         else:
-            ranking = _BASELINE_FNS[method](graph, it)
+            try:
+                ranking = _BASELINE_FNS[method](graph, it)
+            except ValueError as exc:
+                if method not in _UNIFORM_ONLY:
+                    raise
+                skipped.append(f"{method}: {exc}")
+                continue
             output_size = graph.n
+            if method in _ITERATIVE:
+                notes.append(
+                    f"solver {method} converged {str(ranking.converged).lower()} "
+                    f"residual {ranking.residual:g} iterations {ranking.iterations}"
+                )
         wall = time.perf_counter() - started
         precision = precision_at_core_size(ranking, core)
         ap, _ = auprc(ranking, core)
@@ -205,13 +224,18 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
                 wall_time=wall,
             )
         )
+    notes.extend(f"skipped {reason}" for reason in skipped)
+    if not rows:
+        raise ValueError(f"every selected method was skipped: {'; '.join(skipped)}")
     return rows, notes
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every selected method on the configured dataset and evaluate it.
 
-    Rows come back sorted by (dataset, r, method).
+    Rows come back sorted by (dataset, r, method).  z-eigen and h-eigen
+    give no row on an input that is not uniform; if no selected method
+    can run, ValueError is raised.
     """
     return _execute(cfg)[0]
 
@@ -434,7 +458,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader of stdout went away: stop quietly, and point stdout at
+        # devnull so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -93,8 +93,13 @@ def greedy_matching(G: Hypergraph, edge_order: Sequence[int]) -> HittingSet:
 
 # Rounds per lockstep block: keeps each int32 permutation block near 1 MiB.
 # Sizing by max(m, n) rather than m alone also bounds the node-permutation
-# block and keeps every flat index below 2**31.
+# block.  On large instances a block still holds _MIN_BLOCK rounds, so that
+# the per-position numpy overhead is shared; memory then grows linearly in
+# max(m, n) by a few dozen bytes per edge.  Either way block * max(m, n)
+# stays at most 2**31, which keeps every flat index below 2**31.
 _BLOCK_BYTES = 1 << 20
+_MIN_BLOCK = 4
+_FLAT_LIMIT = 1 << 31
 
 # CSR slots gathered per chunk of positions in _steps; bounds the gather's
 # temporaries to a few hundred KiB whatever the block size.
@@ -102,7 +107,9 @@ _CHUNK_SLOTS = 1 << 13
 
 
 def _block_size(G: Hypergraph, iterations: int) -> int:
-    return max(1, min(iterations, _BLOCK_BYTES // (4 * max(len(G.edges), G.n, 1))))
+    size = max(len(G.edges), G.n, 1)
+    block = max(_MIN_BLOCK, _BLOCK_BYTES // (4 * size))
+    return max(1, min(iterations, block, _FLAT_LIMIT // size))
 
 
 def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int):
@@ -244,7 +251,9 @@ def umhs(
     under ``python -O``) confirms each set is a minimal hitting set.  Each
     round's work is linear in the total edge size, however unevenly the
     degrees and edge sizes are spread.  The block size is derived from the
-    instance so that a block's permutations take about 1 MiB.  :func:`greedy_matching_certificate` and
+    instance so that a block's permutations take about 1 MiB, but a block
+    holds at least four rounds when that many are asked for.
+    :func:`greedy_matching_certificate` and
     :func:`~umhs.hypergraph.prune_to_minimal` remain the single-round
     reference that these rounds reproduce exactly.
     """

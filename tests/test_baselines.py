@@ -2,20 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umhs import (
     IterationParams,
     Ranking,
+    SbmParams,
     borgatti_everett_ranking,
     canonicalize,
     clique_eigen_ranking,
+    clique_graph,
     degree_ranking,
     h_eigen_ranking,
     kcore_ranking,
     random_hypergraph,
+    sbm_hypergraph,
     uniform_subhypergraph,
     z_eigen_ranking,
 )
+from umhs.baselines import _fixed_point, _tensor_apply
 
 ALL_RANKERS = [
     degree_ranking,
@@ -48,6 +54,211 @@ def connected_pair_graph(seed, n=8, m=10):
         if len({find(v) for v in range(n)}) == 1:
             return G
         seed += 1000
+
+
+def reference_tensor_apply(G, x):
+    """f(x)_i = sum over edges containing i of the product of the other
+    members, one edge and one member at a time."""
+    f = np.zeros(G.n)
+    for edge in G.edges:
+        vals = [x[v] for v in edge]
+        for pos, v in enumerate(edge):
+            prod = 1.0
+            for j, val in enumerate(vals):
+                if j != pos:
+                    prod *= val
+            f[v] += prod
+    return f
+
+
+def reference_power(w, it, norm_ord):
+    """Shifted power iteration x <- (W x + x) / norm, one step at a time."""
+    n = w.shape[0]
+    x = np.full(n, 1.0 / n)
+    residual = float("inf")
+    for step in range(1, it.max_iters + 1):
+        y = w @ x + x
+        total = np.linalg.norm(y, ord=norm_ord)
+        if total == 0.0:
+            return x, True, 0.0, step
+        y /= total
+        residual = float(np.abs(y - x).sum())
+        x = y
+        if residual < it.tolerance:
+            return x, True, residual, step
+    return x, False, residual, it.max_iters
+
+
+def reference_clique_eigen(G, it):
+    w = clique_graph(G)
+    total_weight = float(w.sum()) / 2.0
+    scores = np.zeros(G.n)
+    converged, residual, steps = True, 0.0, 0
+    seen = set()
+    for start in range(G.n):
+        if start in seen or total_weight == 0:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            nxt = np.flatnonzero(w[frontier.pop()] > 0).tolist()
+            frontier += [v for v in nxt if v not in comp]
+            comp.update(nxt)
+        seen |= comp
+        idx = np.array(sorted(comp))
+        sub = w[np.ix_(idx, idx)]
+        if len(idx) < 2 or sub.sum() == 0.0:
+            continue
+        x, ok, res, k = reference_power(sub, it, 1)
+        scores[idx] = x * ((float(sub.sum()) / 2.0 / total_weight) / float(x.max()))
+        converged, residual, steps = converged and ok, max(residual, res), max(steps, k)
+    return scores, converged, residual, steps
+
+
+def reference_tensor(G, it, kind):
+    """The z- ("z") or h-eigenvector ("h") iteration over the reference apply."""
+    exponent = 1.0 / (len(G.edges[0]) - 1)
+    x = np.full(G.n, 1.0 / G.n)
+    residual, converged, steps = float("inf"), False, 0
+    for steps in range(1, it.max_iters + 1):
+        f = reference_tensor_apply(G, x)
+        if kind == "z":
+            total = float(np.linalg.norm(f, ord=2))
+        else:
+            f = f ** exponent
+            total = float(f.sum())
+        if total == 0.0:
+            x, converged, residual = f, True, 0.0
+            break
+        f /= total
+        residual = float(np.abs(f - x).sum())
+        x = f
+        if residual < it.tolerance:
+            converged = True
+            break
+    return x, converged, residual, steps
+
+
+def reference_rankings(G, it):
+    """method -> (scores, converged, residual, iterations) by the reference loops."""
+    out = {"clique-eigen": reference_clique_eigen(G, it)}
+    w = clique_graph(G)
+    if w.sum() > 0:
+        out["borgatti-everett"] = reference_power(w, it, 2)
+    if len({len(e) for e in G.edges}) == 1:
+        out["z-eigen"] = reference_tensor(G, it, "z")
+        out["h-eigen"] = reference_tensor(G, it, "h")
+    return out
+
+
+EIGEN_RANKERS = {
+    "clique-eigen": clique_eigen_ranking,
+    "z-eigen": z_eigen_ranking,
+    "h-eigen": h_eigen_ranking,
+    "borgatti-everett": borgatti_everett_ranking,
+}
+
+
+@st.composite
+def uniform_inputs(draw):
+    """An r-uniform graph (r = 2..6, often with isolated nodes) and a vector
+    x on its nodes that mixes exact zeros with arbitrary signed values."""
+    r = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=r, max_value=r + 6))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True),
+        min_size=1, max_size=12,
+    ))
+    value = st.just(0.0) | st.floats(-1e3, 1e3, allow_nan=False)
+    x = draw(st.lists(value, min_size=n, max_size=n))
+    return canonicalize(n, edges), np.array(x)
+
+
+class TestTensorApply:
+    @given(uniform_inputs())
+    @example((canonicalize(3, [[0, 1, 2]]), np.array([0.0, 2.0, 3.0])))
+    @example((canonicalize(7, [[1, 3, 4, 5, 6]]),
+              np.array([0.1, 0.0, 3.0, 0.3, 0.7, 1e-300, 1e300])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_bit_for_bit(self, case):
+        G, x = case
+        assert np.array_equal(_tensor_apply(G, x), reference_tensor_apply(G, x))
+
+    def test_isolated_nodes_get_zero(self):
+        G = canonicalize(6, [[0, 2, 4]])
+        f = _tensor_apply(G, np.arange(1.0, 7.0))
+        assert f.tolist() == [15.0, 0.0, 5.0, 0.0, 3.0, 0.0]
+
+
+class TestFixedPoint:
+    def test_zero_norm_stops_at_once_as_converged(self):
+        x, converged, residual, steps = _fixed_point(
+            lambda x: x * 0.0, lambda y: float(y.sum()), np.ones(3), IterationParams()
+        )
+        assert x.tolist() == [0.0, 0.0, 0.0]
+        assert (converged, residual, steps) == (True, 0.0, 1)
+
+    def test_cap_reports_non_convergence(self):
+        # the iterate doubles its first entry every step, so it never settles
+        step = lambda x: x * np.array([2.0, 1.0])
+        x, converged, residual, steps = _fixed_point(
+            step, lambda y: float(y.sum()), np.array([0.5, 0.5]),
+            IterationParams(max_iters=3),
+        )
+        assert not converged
+        assert steps == 3
+        assert residual > 0
+        assert x.tolist() == pytest.approx([8 / 9, 1 / 9])
+
+
+def eigen_parity_graphs():
+    return [
+        single_triple(),
+        canonicalize(4, [[0, 1, 2], [0, 1, 3]]),
+        canonicalize(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+        canonicalize(5, [[0, 1, 2]]),
+        canonicalize(6, [[0, 1, 2], [3, 4, 5]]),
+        canonicalize(5, [[0, 1], [0, 2], [0, 3], [0, 4]]),
+        canonicalize(4, []),
+        random_hypergraph(8, 3, 9, seed=1),
+        *(uniform_subhypergraph(random_hypergraph(9, 3, 11, seed=s), 3)[0]
+          for s in (3, 4)),
+        *(connected_pair_graph(seed) for seed in range(3)),
+    ]
+
+
+class TestEigenParity:
+    @pytest.mark.parametrize("it", [
+        IterationParams(),
+        IterationParams(max_iters=7),
+        IterationParams(tolerance=1e-30, max_iters=1),
+    ], ids=["default", "cap7", "cap1"])
+    @pytest.mark.parametrize("index", range(len(eigen_parity_graphs())))
+    def test_fixtures_match_reference_loops(self, index, it):
+        self.check(eigen_parity_graphs()[index], it)
+
+    def test_sbm_instance_matches_reference_loops(self):
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, seed=2)).graph
+        assert G.n == 490
+        self.check(G, IterationParams())
+
+    @staticmethod
+    def check(G, it):
+        expected = reference_rankings(G, it)
+        for method, ranker in EIGEN_RANKERS.items():
+            if method not in expected and len({len(e) for e in G.edges}) > 1:
+                with pytest.raises(ValueError, match="uniform"):
+                    ranker(G, it)
+                continue
+            got = ranker(G, it)
+            if method not in expected:
+                assert got.iterations == 0 and got.converged
+                continue
+            scores, converged, residual, steps = expected[method]
+            want = Ranking.from_scores(scores, converged=converged, residual=residual)
+            assert got.scores == want.scores, method
+            assert got.order == want.order, method
+            assert (got.converged, got.residual, got.iterations) == (
+                converged, residual, steps), method
 
 
 class TestRankingType:
@@ -163,6 +374,7 @@ class TestTensorEigenRankings:
         assert not r.converged
         assert "convergence" in r.note
         assert r.residual > 0
+        assert r.iterations == 1
 
 
 class TestBorgattiEverettRanking:

@@ -2,10 +2,24 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from umhs import SbmParams, UmhsConfig, sbm_hypergraph, umhs
+from umhs import (
+    IterationParams,
+    SbmParams,
+    UmhsConfig,
+    borgatti_everett_ranking,
+    clique_eigen_ranking,
+    h_eigen_ranking,
+    sbm_hypergraph,
+    umhs,
+    z_eigen_ranking,
+)
 from umhs.cli import ExperimentConfig, main, run_experiment, write_results_csv
 
 SBM_SPEC = "core=5,fringe=12,r=3,p=0.6,q=0.05"
@@ -259,6 +273,84 @@ class TestCliRecover:
         assert code == 1
         assert err.strip()
 
+    def test_solver_diagnostics_in_metadata_block(self, capsys):
+        code, out, _ = run_cli(
+            ["recover", "--sbm", SBM_SPEC, "--iterations", "5", "--seed", "1"], capsys
+        )
+        assert code == 0
+        graph = sbm_hypergraph(SbmParams(5, 12, 3, 0.6, 0.05, seed=1)).graph
+        expected = []
+        for method, ranker in [
+            ("borgatti-everett", borgatti_everett_ranking),
+            ("clique-eigen", clique_eigen_ranking),
+            ("h-eigen", h_eigen_ranking),
+            ("z-eigen", z_eigen_ranking),
+        ]:
+            r = ranker(graph, IterationParams())
+            assert r.iterations >= 1
+            expected.append(
+                f"# solver {method} converged {str(r.converged).lower()} "
+                f"residual {r.residual:g} iterations {r.iterations}"
+            )
+        solver = [line for line in out.splitlines() if line.startswith("# solver")]
+        assert solver == expected
+
+
+MIXED_EDGES = "a b\na b c\nb c d\n"
+
+
+class TestCliMixedRank:
+    """Z- and H-eigen need a uniform input; recover skips them on others."""
+
+    @pytest.fixture
+    def instance(self, tmp_path):
+        edges = tmp_path / "mixed.edges"
+        edges.write_text(MIXED_EDGES)
+        corefile = tmp_path / "mixed.core"
+        corefile.write_text("b\n")
+        return ["recover", "--input", str(edges), "--core", str(corefile),
+                "--iterations", "4"]
+
+    def test_all_methods_skip_the_tensor_centralities(self, instance, capsys):
+        code, out, err = run_cli(instance, capsys)
+        assert code == 0
+        assert err == ""
+        methods = [row["method"] for row in parse_rows(out)]
+        assert methods == [
+            "borgatti-everett", "clique-eigen", "degree", "k-core", "umhs"]
+        skips = [line for line in out.splitlines() if line.startswith("# skipped")]
+        assert skips == [
+            f"# skipped {method}: hypergraph is not uniform; "
+            "extract an r-uniform part first"
+            for method in ("h-eigen", "z-eigen")
+        ]
+        assert "solver h-eigen" not in out and "solver z-eigen" not in out
+
+    def test_rows_match_a_run_without_the_skipped_methods(self, instance, capsys):
+        _, skipped, _ = run_cli(instance, capsys)
+        others = "borgatti-everett,clique-eigen,degree,k-core,umhs"
+        _, direct, _ = run_cli(instance + ["--methods", others], capsys)
+        assert csv_body(skipped) == csv_body(direct)
+
+    def test_one_runnable_method_is_enough(self, instance, capsys):
+        code, out, _ = run_cli(instance + ["--methods", "z-eigen,degree"], capsys)
+        assert code == 0
+        assert [row["method"] for row in parse_rows(out)] == ["degree"]
+        assert "# skipped z-eigen: hypergraph is not uniform" in out
+
+    def test_error_when_every_method_is_skipped(self, instance, capsys):
+        code, out, err = run_cli(instance + ["--methods", "h-eigen,z-eigen"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: every selected method was skipped: h-eigen: ")
+        assert "z-eigen: hypergraph is not uniform" in err
+
+    def test_r_slice_runs_the_tensor_centralities(self, instance, capsys):
+        code, out, _ = run_cli(instance + ["--r", "3"], capsys)
+        assert code == 0
+        assert len(parse_rows(out)) == 7
+        assert "# skipped" not in out
+
 
 @pytest.mark.parametrize("command", ["recover", "sweep"])
 class TestCliLoader:
@@ -451,6 +543,31 @@ class TestCliOracle:
 
 
 class TestCliSweep:
+    @pytest.mark.parametrize("iterations, lines", [(20, 0), (20000, 1)])
+    def test_closed_pipe_stops_quietly(self, iterations, lines):
+        # the reader leaves at once, so even a short output still sitting in
+        # the stdout buffer meets the closed pipe; or it takes one line of
+        # an output far larger than a pipe buffer and leaves mid-write
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from umhs.cli import main; sys.exit(main())",
+             "sweep", "--sbm", SBM_SPEC, "--iterations", str(iterations)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert all(line.startswith(b"# umhs") for line in read)
+        assert err == b""
+
     def test_emits_one_row_per_iteration(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--sbm", SBM_SPEC, "--iterations", "12", "--seed", "4"], capsys

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -274,6 +275,24 @@ class TestLockstepRounds:
         assert recovery._block_size(G, 100) == 2**20 // (4 * 5000)
         assert recovery._block_size(G, 10) == 10
         assert recovery._block_size(canonicalize(0, []), 100) == 100
+
+    def test_derived_block_keeps_four_rounds_on_large_instances(self):
+        # above 2**16 edges or nodes the 1 MiB budget alone would give fewer
+        # than four rounds per block, and one above 2**17; the floor keeps
+        # four, or all rounds if fewer are asked for
+        assert recovery._block_size(canonicalize(300_000, []), 100) == 4
+        assert recovery._block_size(canonicalize(300_000, []), 3) == 3
+        for size in (2**16 + 1, 2**17 + 1, 2**20, 10**7):
+            big = SimpleNamespace(edges=range(size), n=1000)
+            assert recovery._block_size(big, 100) == 4
+            assert recovery._block_size(SimpleNamespace(edges=(), n=size), 100) == 4
+        assert recovery._block_size(SimpleNamespace(edges=(), n=2**15), 100) == 8
+
+    def test_derived_block_keeps_flat_indices_below_2_31(self):
+        for size in (2**29, 2**30, 2**31 - 1):
+            block = recovery._block_size(SimpleNamespace(edges=(), n=size), 100)
+            assert block * size <= 2**31
+            assert block >= 1
 
     def test_peak_memory_bounded(self):
         G = random_hypergraph(300, 3, 5000, seed=0)
