@@ -9,6 +9,7 @@ rankings bit for bit.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -299,20 +300,27 @@ def kcore_ranking(G: Hypergraph) -> Ranking:
     degrees = list(G.degrees())
     original = G.degrees()
     alive_edge = [True] * len(G.edges)
-    remaining = set(range(G.n))
+    removed = [False] * G.n
     core = [0] * G.n
     threshold = 0
-    while remaining:
-        v = min(remaining, key=lambda u: (degrees[u], u))
-        threshold = max(threshold, degrees[v])
+    # Lazy heap: a degree drop pushes a fresh (degree, node) entry, and the
+    # older, larger entries of that node pop only after it is removed.
+    heap = [(d, v) for v, d in enumerate(degrees)]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        threshold = max(threshold, d)
         core[v] = threshold
-        remaining.remove(v)
+        removed[v] = True
         for idx in G.incidence[v]:
             if alive_edge[idx]:
                 alive_edge[idx] = False
                 for u in G.edges[idx]:
-                    if u in remaining:
+                    if not removed[u]:
                         degrees[u] -= 1
+                        heapq.heappush(heap, (degrees[u], u))
     span = max(original, default=0) + 1
     scores = [core[v] * span + original[v] for v in range(G.n)]
     return Ranking.from_scores(scores, note="k-core (peeling threshold)")

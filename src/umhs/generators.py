@@ -9,7 +9,6 @@ included as a fixture generator for property tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,9 +16,14 @@ import numpy as np
 
 from .hypergraph import Hypergraph, HittingSet, LabeledHypergraph
 
-# Generating more size-r subsets than this would need gigabytes for the
-# per-subset uniform draws; refuse instead.
+# Refuse an sbm instance with more size-r subsets that contain a core node
+# (one uniform draw each, ~30 ns per draw on a 2-core host) than this, and
+# a tree family with more nodes.
 _MAX_SUBSETS = 20_000_000
+
+# Uniforms drawn per chunk of the sbm stream; bounds the generator's working
+# memory (~8 bytes per uniform plus the survivors) whatever the instance size.
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,29 +87,58 @@ class TreeFamilyParams:
 def sbm_hypergraph(params: SbmParams) -> LabeledHypergraph:
     """Sample a core-fringe hypergraph with the core recorded as ground truth.
 
-    Every size-r subset gets one uniform draw from a counter-based stream
-    indexed by the subset's rank in lexicographic enumeration order, so the
-    sample is a pure function of (params, seed) no matter how the subsets
-    are traversed.  Core nodes are indices 0..core_size-1.
+    The size-r subset of lexicographic rank i owns the i-th uniform of a
+    counter-based Philox stream keyed by the seed, so the sample is a pure
+    function of (params, seed) no matter how the subsets are traversed.
+    Core nodes are indices 0..core_size-1.
+
+    The fringe-only subsets (first element >= core_size) are exactly the
+    rank suffix [C(n,r) - C(n-c,r), C(n,r)); their probability is zero, so
+    their uniforms are never drawn.  The prefix is drawn in chunks of
+    ``_CHUNK`` uniforms, and only ranks whose uniform is below max(p, q)
+    are unranked, so working memory is bounded by one chunk plus the edges
+    kept.
     """
-    c = params.core_size
+    c, r = params.core_size, params.r
     n = c + params.fringe_size
-    total = math.comb(n, params.r)
-    if total > _MAX_SUBSETS:
+    drawn = math.comb(n, r) - math.comb(n - c, r)
+    if drawn > _MAX_SUBSETS:
         raise ValueError(
-            f"{total} candidate subsets at n={n}, r={params.r}; "
+            f"{drawn} subsets with a core node to draw at n={n}, r={r}; "
             "use a smaller instance"
         )
-    uniforms = np.random.Generator(np.random.Philox(key=params.seed)).random(total)
-    edges: list[tuple[int, ...]] = []
-    for rank, subset in enumerate(itertools.combinations(range(n), params.r)):
-        if subset[0] >= c:
-            continue  # fringe-only: probability zero
-        prob = params.p if subset[-1] < c else params.q
-        if uniforms[rank] < prob:
-            edges.append(subset)
-    graph = Hypergraph(n=n, edges=tuple(edges))
+    # tables[k][v] = C(n - v, k): the k-subsets of {v, ..., n-1}
+    tables = [np.array([math.comb(n - v, k) for v in range(n + 1)], dtype=np.int64)
+              for k in range(r + 1)]
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    top = max(params.p, params.q)
+    kept = []
+    for start in range(0, drawn, _CHUNK):
+        uniforms = rng.random(min(_CHUNK, drawn - start))
+        ranks = np.flatnonzero(uniforms < top)
+        subsets = _unrank(ranks + start, tables, r)
+        prob = np.where(subsets[:, -1] < c, params.p, params.q)
+        kept.append(subsets[uniforms[ranks] < prob])
+    edges = tuple(map(tuple, np.concatenate(kept).tolist()))
+    graph = Hypergraph(n=n, edges=edges)
     return LabeledHypergraph(graph=graph, core=frozenset(range(c)))
+
+
+def _unrank(ranks: np.ndarray, tables: list[np.ndarray], r: int) -> np.ndarray:
+    """The r-subsets of range(n) at the given lexicographic ranks, one row each.
+
+    With ``left`` counting the subsets from a row's rank to the end of the
+    order, the next element is the largest v whose tail {v, ..., n-1} still
+    holds ``left`` subsets of the remaining size; stepping past the subsets
+    that start after v leaves the count for the next position.
+    """
+    left = tables[r][0] - ranks
+    out = np.empty((len(ranks), r), dtype=np.int64)
+    for i, k in enumerate(range(r, 0, -1)):
+        v = np.searchsorted(-tables[k], -left, side="right") - 1
+        out[:, i] = v
+        left -= tables[k][v + 1]
+    return out
 
 
 def _tree_parent(j: int, b: int) -> int:

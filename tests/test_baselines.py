@@ -1,5 +1,7 @@
 """Tests for the six comparison rankers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +138,30 @@ def reference_tensor(G, it, kind):
             converged = True
             break
     return x, converged, residual, steps
+
+
+def reference_kcore_ranking(G):
+    """The k-core peel with a linear scan for each minimum-degree node."""
+    degrees = list(G.degrees())
+    original = G.degrees()
+    alive_edge = [True] * len(G.edges)
+    remaining = set(range(G.n))
+    core = [0] * G.n
+    threshold = 0
+    while remaining:
+        v = min(remaining, key=lambda u: (degrees[u], u))
+        threshold = max(threshold, degrees[v])
+        core[v] = threshold
+        remaining.remove(v)
+        for idx in G.incidence[v]:
+            if alive_edge[idx]:
+                alive_edge[idx] = False
+                for u in G.edges[idx]:
+                    if u in remaining:
+                        degrees[u] -= 1
+    span = max(original, default=0) + 1
+    scores = [core[v] * span + original[v] for v in range(G.n)]
+    return Ranking.from_scores(scores, note="k-core (peeling threshold)")
 
 
 def reference_rankings(G, it):
@@ -428,6 +454,22 @@ class TestKcoreRanking:
         assert list(r.order) == [3, 0, 1, 2, 4, 5]
         assert r.scores[4] == r.scores[5]
         assert min(r.scores[v] for v in (0, 1, 2, 3)) > r.scores[4]
+
+
+class TestKcoreParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 30), st.integers(2, 5), st.integers(0, 60), st.integers(0, 10**6)
+    )
+    def test_random_graphs_match_reference(self, n, r_max, m, seed):
+        available = sum(math.comb(n, s) for s in range(2, min(r_max, n) + 1))
+        G = random_hypergraph(n, r_max, min(m, available), seed=seed)
+        assert kcore_ranking(G) == reference_kcore_ranking(G)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sbm_instance_matches_reference(self, seed):
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, seed=seed)).graph
+        assert kcore_ranking(G) == reference_kcore_ranking(G)
 
 
 class TestCommonProperties:

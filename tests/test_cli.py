@@ -1,6 +1,7 @@
 """Tests for the command-line surface and CSV emission."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -439,7 +440,51 @@ class TestCliLoader:
         assert f"# input {edges} core {corefile}" in out.splitlines()
 
 
+# sha256 of the files `umhs generate sbm` wrote before the generator was
+# streamed in chunks; the .edges/.core bytes must never change for a seed.
+GENERATE_DIGESTS = {
+    "core5-seed0": (
+        ["5", "12", "3", "0.6", "0.05", "0"],
+        "b509d19670edfb6b9c26817c2c4ce10784fab71f28359ce42e05356cb6be1c06",
+        "3800b8669623025659795887303a6c4f656372b2403a96db7b44d576defc7d8d",
+    ),
+    "core5-seed1": (
+        ["5", "12", "3", "0.6", "0.05", "1"],
+        "45af3c1938b3c5037b1e99de1bcd67ca38681a7f03625802aa5a23ec0f5b78a8",
+        "3800b8669623025659795887303a6c4f656372b2403a96db7b44d576defc7d8d",
+    ),
+    "core5-seed2": (
+        ["5", "12", "3", "0.6", "0.05", "2"],
+        "dca456f8f79166aeeae141f72510e0a2203a65f24f9d0d9d167c8618b2b53d81",
+        "3800b8669623025659795887303a6c4f656372b2403a96db7b44d576defc7d8d",
+    ),
+    "r2": (
+        ["6", "20", "2", "0.5", "0.1", "3"],
+        "77edc11e49ba45d0d17ce6ec30a3cfb957621e96fed764da06c8555c6920eecb",
+        "ffe30a4d552a2b1a76f29cef24e1133a13013025f3667b5c3a856196a9118700",
+    ),
+    "ladder-n300": (
+        ["40", "260", "3", "0.05", "0.0005", "1"],
+        "85c0ff717da8bb87b6205dd68bf4079eaf3bacd327653976747c3535ca47cb53",
+        "4f4402bf0352bfce5788891c8f9e8fd85d9ec8d886bc3bad775b420cc3e4cc0a",
+    ),
+}
+
+
 class TestCliGenerate:
+    @pytest.mark.parametrize("name", sorted(GENERATE_DIGESTS))
+    def test_sbm_files_byte_identical(self, name, tmp_path, capsys):
+        values, edges_digest, core_digest = GENERATE_DIGESTS[name]
+        flags = ["--core-size", "--fringe-size", "--r", "--p", "--q", "--seed"]
+        argv = ["generate", "sbm", "--output", str(tmp_path / name)]
+        for flag, value in zip(flags, values):
+            argv += [flag, value]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        for suffix, digest in (("edges", edges_digest), ("core", core_digest)):
+            data = (tmp_path / f"{name}.{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
+
     def test_sbm_writes_edge_and_core_files(self, tmp_path, capsys):
         prefix = tmp_path / "inst"
         code, out, _ = run_cli(

@@ -2,11 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import umhs.generators
 from umhs import (
+    Hypergraph,
+    LabeledHypergraph,
     SbmParams,
     TreeFamilyParams,
     consistent_labeling_hitting_set,
@@ -16,6 +22,54 @@ from umhs import (
     sbm_hypergraph,
     tree_family,
 )
+
+
+def reference_sbm_hypergraph(params):
+    """One uniform per lexicographic subset rank, every subset visited in turn."""
+    c = params.core_size
+    n = c + params.fringe_size
+    total = math.comb(n, params.r)
+    uniforms = np.random.Generator(np.random.Philox(key=params.seed)).random(total)
+    edges = []
+    for rank, subset in enumerate(itertools.combinations(range(n), params.r)):
+        if subset[0] >= c:
+            continue  # fringe-only: probability zero
+        prob = params.p if subset[-1] < c else params.q
+        if uniforms[rank] < prob:
+            edges.append(subset)
+    graph = Hypergraph(n=n, edges=tuple(edges))
+    return LabeledHypergraph(graph=graph, core=frozenset(range(c)))
+
+
+def assert_matches_reference(params):
+    got = sbm_hypergraph(params)
+    want = reference_sbm_hypergraph(params)
+    assert got.graph.edges == want.graph.edges
+    assert (got.graph.n, got.core) == (want.graph.n, want.core)
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def sbm_params(draw):
+    core = draw(st.integers(1, 8))
+    fringe = draw(st.integers(max(0, 2 - core), 12))
+    r = draw(st.integers(2, min(5, core + fringe)))
+    return SbmParams(
+        core_size=core, fringe_size=fringe, r=r,
+        p=draw(probabilities), q=draw(probabilities),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+CHUNK_CASES = [
+    SbmParams(5, 12, 3, 0.6, 0.05, seed=1),
+    SbmParams(6, 20, 2, 0.5, 0.1, seed=3),
+    SbmParams(8, 12, 5, 0.5, 0.01, seed=2),
+    SbmParams(4, 3, 3, 0.0, 1.0, seed=5),
+    SbmParams(1, 10, 2, 0.3, 0.7, seed=9),
+]
 
 
 class TestSbmParams:
@@ -79,6 +133,44 @@ class TestSbmHypergraph:
     def test_subset_count_guard(self):
         with pytest.raises(ValueError, match="smaller"):
             sbm_hypergraph(SbmParams(core_size=100, fringe_size=200, r=5, p=0.1, q=0.1))
+
+    def test_guard_counts_only_subsets_with_a_core_node(self):
+        # C(500,3) = 20,708,500 subsets in all, but only 1,220,220 contain
+        # one of the 10 core nodes, and only those are drawn
+        params = SbmParams(core_size=10, fringe_size=490, r=3, p=0.05, q=0.0005, seed=0)
+        assert math.comb(500, 3) > umhs.generators._MAX_SUBSETS
+        lab = sbm_hypergraph(params)
+        assert lab.graph.edges
+        assert all(e[0] < 10 for e in lab.graph.edges)
+
+    def test_memory_bounded_by_chunk_and_output(self):
+        # the single draw over all C(490,3) ranks held 155 MB of uniforms
+        params = SbmParams(40, 450, 3, 0.05, 0.0005, seed=2)
+        tracemalloc.start()
+        try:
+            sbm_hypergraph(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestSbmMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(sbm_params())
+    def test_property(self, params):
+        assert_matches_reference(params)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 7])
+    @pytest.mark.parametrize("params", CHUNK_CASES, ids=str)
+    def test_chunk_boundaries(self, params, chunk, monkeypatch):
+        monkeypatch.setattr(umhs.generators, "_CHUNK", chunk)
+        assert_matches_reference(params)
+
+    def test_ladder_instance(self):
+        # 1,559,480 drawn ranks: two chunks at the default size
+        params = SbmParams(40, 260, 3, 0.05, 0.0005, seed=1)
+        assert_matches_reference(params)
 
 
 class TestTreeFamily:
