@@ -54,9 +54,7 @@ from .oracle import (
     check_membership_lemmas,
     enumerate_minimal_hitting_sets,
     find_sunflower,
-    has_independent_set,
     independence_number,
-    independence_number_exhaustive,
     kernelize,
     min_hitting_set_size,
     sigma,
@@ -98,8 +96,6 @@ __all__ = [
     "enumerate_minimal_hitting_sets",
     "union_minimal",
     "independence_number",
-    "independence_number_exhaustive",
-    "has_independent_set",
     "independence_threshold",
     "check_membership_lemmas",
     "SbmParams",

@@ -426,6 +426,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if report is not None:
             out.write(f"kernel_edges {len(report.kernel.edges)}\n")
             out.write(f"kernel_phases {report.phases}\n")
+            if not report.complete:
+                out.write("kernel_complete false\n")
             if report.infeasible:
                 out.write(f"no_hitting_set_within {k}\n")
     return 0

@@ -4,10 +4,13 @@ kernelization that preserves them.
 
 Everything here is exponential in the worst case and exists for desk-scale
 instances, both as a feature (exact k*, alpha, U(k)) and as the ground truth
-that property tests compare the scalable recovery code against.  All entry
-points take OracleLimits and fail loudly instead of truncating silently.
-Internally edges are handled as node bitmasks, which keeps the search loops
-cheap without any native code.
+that property tests compare the scalable recovery code against.  k* and U(k)
+come from one depth-first hitting-set search: the enumeration takes every
+leaf at its budget k, and k* deepens the budget one level at a time from a
+disjoint-packing lower bound until a leaf appears.  All entry points take
+OracleLimits and fail loudly instead of truncating silently.  Internally
+edges are handled as node bitmasks, which keeps the search loops cheap
+without any native code.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import (
     Edge,
@@ -133,14 +136,7 @@ def _check_limits(graph: Hypergraph, limits: OracleLimits) -> None:
 
 
 def _edge_masks(edges: Iterable[Edge]) -> list[int]:
-    return [_mask(e) for e in edges]
-
-
-def _mask(edge: Iterable[int]) -> int:
-    m = 0
-    for v in edge:
-        m |= 1 << v
-    return m
+    return [sum(1 << v for v in e) for e in edges]
 
 
 def _bits(mask: int) -> list[int]:
@@ -250,6 +246,8 @@ def kernelize(
 
 
 def _packing_lower_bound(masks: list[int]) -> int:
+    """Size of a greedy family of pairwise disjoint edges: each one needs its
+    own hitter, so no hitting set is smaller."""
     used = 0
     count = 0
     for m in masks:
@@ -259,49 +257,67 @@ def _packing_lower_bound(masks: list[int]) -> int:
     return count
 
 
+def _hitting_leaves(masks: list[int], k: int, deadline: float) -> Iterator[int]:
+    """Yield, depth first, node masks of size <= k that hit every edge.
+
+    Each branch adds one member of the smallest uncovered edge, so every
+    minimal hitting set of size <= k is reached (singleton edges, legal in
+    kernels, force their node by always being smallest).  Inner nodes are
+    memoized on the chosen mask, which fixes both the count (its popcount)
+    and the uncovered edges, so no subtree is searched twice.  The same
+    leaf may be yielded more than once.
+    """
+    visited: set[int] = set()
+
+    def dfs(chosen: int, count: int, uncovered: list[int]) -> Iterator[int]:
+        if not uncovered:
+            yield chosen
+            return
+        if count == k or chosen in visited:
+            return
+        visited.add(chosen)
+        if time.monotonic() > deadline:
+            raise OracleBudgetError(
+                f"search for hitting sets of size <= {k} timed out"
+            )
+        edge = min(uncovered, key=int.bit_count)
+        for v in _bits(edge):
+            bit = 1 << v
+            rest = [m for m in uncovered if not m & bit]
+            yield from dfs(chosen | bit, count + 1, rest)
+
+    return dfs(0, 0, masks)
+
+
 def min_hitting_set_size(
     G: Hypergraph, limits: OracleLimits | None = None
 ) -> int:
-    """Exact k* by branch and bound.
+    """Exact k* by iterative deepening over the hitting-set search.
 
-    Branches on the smallest uncovered edge with members in ascending degree
-    order; prunes with a greedy disjoint-edge packing (each packed edge
-    needs its own hitter) against an incumbent seeded by a pruned greedy
-    run.  Singleton edges, legal in kernels, force their node immediately
-    by always being the smallest edge.
+    The greedy disjoint-edge packing bounds k* from below and a pruned
+    greedy matching from above.  Levels k are searched upwards from the
+    packing bound; the first with a leaf is k*, and reaching the incumbent
+    proves it optimal.  On timeout the OracleBudgetError carries the level
+    reached (every lower one is proved infeasible) and the incumbent.
     """
     limits = limits or OracleLimits()
     _check_limits(G, limits)
-    if not G.edges:
-        return 0
     deadline = time.monotonic() + limits.time_budget
-
     start = greedy_matching(G, range(len(G.edges)))
     best = len(prune_to_minimal(G, start, sorted(start)))
-    degrees = G.degrees()
     masks = _edge_masks(G.edges)
-    root_lower = _packing_lower_bound(masks)
-
-    def dfs(count: int, uncovered: list[int]) -> None:
-        nonlocal best
-        if not uncovered:
-            best = min(best, count)
-            return
-        if count + _packing_lower_bound(uncovered) >= best:
-            return
-        if time.monotonic() > deadline:
+    k = _packing_lower_bound(masks)
+    while k < best:
+        try:
+            if next(_hitting_leaves(masks, k, deadline), None) is not None:
+                return k
+        except OracleBudgetError:
             raise OracleBudgetError(
-                f"minimum hitting set search timed out; size in "
-                f"[{root_lower}, {best}]",
-                best_lower=root_lower,
+                f"minimum hitting set search timed out; size in [{k}, {best}]",
+                best_lower=k,
                 best_upper=best,
-            )
-        edge = min(uncovered, key=lambda m: m.bit_count())
-        for v in sorted(_bits(edge), key=lambda u: (degrees[u], u)):
-            bit = 1 << v
-            dfs(count + 1, [m for m in uncovered if not m & bit])
-
-    dfs(0, masks)
+            ) from None
+        k += 1
     return best
 
 
@@ -310,10 +326,9 @@ def enumerate_minimal_hitting_sets(
 ) -> list[HittingSet]:
     """All minimal hitting sets of size <= k, in (size, lexicographic) order.
 
-    Every branch hits a currently uncovered edge, so every minimal hitting
-    set within the budget shows up as a leaf of the search; leaves are then
-    deduplicated and filtered by the minimality predicate.  Raises
-    OracleBudgetError rather than returning a partial family.
+    Every minimal hitting set within the budget is a leaf of the search;
+    leaves are deduplicated and filtered by the minimality predicate.
+    Raises OracleBudgetError rather than returning a partial family.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -323,32 +338,11 @@ def enumerate_minimal_hitting_sets(
         raise ValueError(f"k={k} above the oracle limit {limits.max_k}")
     deadline = time.monotonic() + limits.time_budget
     masks = _edge_masks(G.edges)
-    leaves: set[int] = set()
-    visited: set[int] = set()
-
-    def dfs(chosen: int, count: int, uncovered: list[int]) -> None:
-        if not uncovered:
-            leaves.add(chosen)
-            return
-        if count == k:
-            return
-        if chosen in visited:
-            return
-        visited.add(chosen)
-        if time.monotonic() > deadline:
-            raise OracleBudgetError(
-                f"enumeration of minimal hitting sets <= {k} timed out"
-            )
-        edge = min(uncovered, key=lambda m: m.bit_count())
-        for v in _bits(edge):
-            bit = 1 << v
-            dfs(chosen | bit, count + 1, [m for m in uncovered if not m & bit])
-
-    dfs(0, 0, masks)
-    out = []
-    for leaf in leaves:
-        if _is_minimal_mask(leaf, masks):
-            out.append(frozenset(_bits(leaf)))
+    out = [
+        frozenset(_bits(leaf))
+        for leaf in set(_hitting_leaves(masks, k, deadline))
+        if _is_minimal_mask(leaf, masks)
+    ]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 
@@ -379,43 +373,6 @@ def independence_number(
 ) -> int:
     """alpha(G) = n - k*: a set is edge-free exactly when its complement hits."""
     return G.n - min_hitting_set_size(G, limits)
-
-
-def independence_number_exhaustive(
-    G: Hypergraph, limits: OracleLimits | None = None
-) -> int:
-    """alpha(G) by direct subset search, the cross-check route for n <= 20."""
-    limits = limits or OracleLimits()
-    _check_limits(G, limits)
-    for size in range(G.n, -1, -1):
-        if has_independent_set(G, size, limits):
-            return size
-    return 0
-
-
-def has_independent_set(
-    G: Hypergraph, size: int, limits: OracleLimits | None = None
-) -> bool:
-    """Is there a node set of the given size containing no hyperedge entirely?"""
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    if size > G.n:
-        return False
-    if size == 0:
-        return True
-    limits = limits or OracleLimits()
-    _check_limits(G, limits)
-    deadline = time.monotonic() + limits.time_budget
-    masks = _edge_masks(G.edges)
-    for subset in combinations(range(G.n), size):
-        s = _mask(subset)
-        if all(m & ~s for m in masks):
-            return True
-        if time.monotonic() > deadline:
-            raise OracleBudgetError(
-                f"independent set search at size {size} timed out"
-            )
-    return False
 
 
 def check_membership_lemmas(

@@ -1,0 +1,39 @@
+"""Reference implementations that only the tests use: exhaustive subset
+searches that cross-check the oracle's alpha = n - k* route."""
+
+import time
+from itertools import combinations
+
+from umhs import OracleBudgetError, OracleLimits
+
+
+def independence_number_exhaustive(G, limits=None):
+    """alpha(G) by direct subset search, the cross-check route for n <= 20."""
+    for size in range(G.n, -1, -1):
+        if has_independent_set(G, size, limits):
+            return size
+    return 0
+
+
+def has_independent_set(G, size, limits=None):
+    """Is there a node set of the given size containing no hyperedge entirely?"""
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    if size > G.n:
+        return False
+    if size == 0:
+        return True
+    limits = limits or OracleLimits()
+    if G.n > limits.max_nodes:
+        raise ValueError(
+            f"instance has {G.n} nodes, above the oracle limit {limits.max_nodes}"
+        )
+    deadline = time.monotonic() + limits.time_budget
+    masks = [sum(1 << v for v in e) for e in G.edges]
+    for subset in combinations(range(G.n), size):
+        s = sum(1 << v for v in subset)
+        if all(m & ~s for m in masks):
+            return True
+        if time.monotonic() > deadline:
+            raise OracleBudgetError(f"independent set search at size {size} timed out")
+    return False

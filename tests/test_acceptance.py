@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import has_independent_set, independence_number_exhaustive
 from umhs import (
     LabeledHypergraph,
     OracleLimits,
@@ -29,9 +30,7 @@ from umhs import (
     enumerate_minimal_hitting_sets,
     greedy_matching,
     greedy_matching_certificate,
-    has_independent_set,
     independence_number,
-    independence_number_exhaustive,
     independence_threshold,
     is_hitting_set,
     is_minimal_hitting_set,

@@ -3,10 +3,13 @@
 import csv
 import hashlib
 import io
+import itertools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +20,7 @@ from umhs import (
     borgatti_everett_ranking,
     clique_eigen_ranking,
     h_eigen_ranking,
+    kernelize,
     sbm_hypergraph,
     umhs,
     z_eigen_ranking,
@@ -585,6 +589,30 @@ class TestCliOracle:
         )
         assert code == 1
         assert "limit" in err
+
+    def test_incomplete_kernelization_is_reported(self, tmp_path, capsys, monkeypatch):
+        # a three-edge star is above sigma(2, 2) = 2, so kernelization runs
+        edges = tmp_path / "g.edges"
+        edges.write_text("a b\na c\na d\n")
+        argv = ["oracle", "--input", str(edges)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "kernel_phases 1"
+
+        def kernelize_out_of_time(graph, k, limits):
+            # the clock reads 0 when the deadline is set and infinity after
+            clock = itertools.chain([0.0], itertools.repeat(math.inf))
+            monkeypatch.setattr(
+                "umhs.oracle.time", SimpleNamespace(monotonic=clock.__next__)
+            )
+            return kernelize(graph, k, limits)
+
+        monkeypatch.setattr("umhs.cli.kernelize", kernelize_out_of_time)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "kernel_edges 3", "kernel_phases 0", "kernel_complete false"
+        ]
 
 
 class TestCliSweep:

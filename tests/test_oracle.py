@@ -1,13 +1,18 @@
 """Tests for the exact small-instance oracle: sunflowers, kernelization,
-branch-and-bound minimum hitting set, enumeration, and membership checks."""
+the hitting-set search behind k* (iterative deepening) and the enumeration
+of minimal hitting sets, and membership checks."""
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import umhs.oracle
+from reference import has_independent_set, independence_number_exhaustive
 from umhs import (
+    Hypergraph,
     LabeledHypergraph,
     OracleBudgetError,
     OracleLimits,
@@ -16,9 +21,7 @@ from umhs import (
     check_membership_lemmas,
     enumerate_minimal_hitting_sets,
     find_sunflower,
-    has_independent_set,
     independence_number,
-    independence_number_exhaustive,
     is_hitting_set,
     is_minimal_hitting_set,
     kernelize,
@@ -71,6 +74,24 @@ def hub_dense_instance(n, hubs, r, edge_count, seed):
     if len(edges) < edge_count:
         raise AssertionError("could not realize the requested edge count")
     return canonicalize(n, sorted(edges))
+
+
+# Inputs at the edges of the hitting-set search, built on demand.
+EDGE_CASES = {
+    # size-1 edges force their node; packing bound 3 below k* = 4
+    "singleton_edges": lambda: Hypergraph(
+        n=7, edges=((3,), (0, 1), (1, 2), (0, 2), (4, 5, 6), (3, 4))
+    ),
+    # the kernel of a two-hub sunflower family keeps both bare hubs
+    "kernel_with_singletons": lambda: kernelize(
+        hub_dense_instance(12, [0, 1], 3, 60, seed=2), 2, LIMITS
+    ).kernel,
+    "edgeless": lambda: canonicalize(5, []),
+    # the packing bound equals the greedy incumbent, so no level is searched
+    "disjoint_edges": lambda: canonicalize(
+        10, [[0, 1, 2], [3, 4], [5, 6, 7], [8, 9]]
+    ),
+}
 
 
 class TestSigma:
@@ -237,17 +258,20 @@ class TestMinHittingSetSize:
     def test_empty_graph_needs_nothing(self):
         assert min_hitting_set_size(canonicalize(4, []), LIMITS) == 0
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_naive_search(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 11))
-        m = int(rng.integers(2, 9))
-        G = random_hypergraph(n, 3, m, seed=seed + 100)
+    @pytest.mark.parametrize("case", [*range(10), *EDGE_CASES])
+    def test_matches_naive_search(self, case):
+        if case in EDGE_CASES:
+            G = EDGE_CASES[case]()
+        else:
+            rng = np.random.default_rng(case)
+            n = int(rng.integers(5, 11))
+            m = int(rng.integers(2, 9))
+            G = random_hypergraph(n, 3, m, seed=case + 100)
         got = min_hitting_set_size(G, LIMITS)
         naive = min(
             size
-            for size in range(n + 1)
-            for members in itertools.combinations(range(n), size)
+            for size in range(G.n + 1)
+            for members in itertools.combinations(range(G.n), size)
             if is_hitting_set(G, members)
         )
         assert got == naive
@@ -257,12 +281,36 @@ class TestMinHittingSetSize:
         with pytest.raises(ValueError, match="above the oracle limit"):
             min_hitting_set_size(G, OracleLimits(max_nodes=4, max_k=12, time_budget=60.0))
 
-    def test_time_budget_raises_with_bounds(self):
+    def test_time_budget_raises_with_bounds(self, monkeypatch):
         G = random_hypergraph(24, 4, 120, seed=1)
         tight = OracleLimits(max_nodes=26, max_k=12, time_budget=1e-9)
         with pytest.raises(OracleBudgetError) as excinfo:
             min_hitting_set_size(G, tight)
         assert excinfo.value.best_lower is not None
+
+        k_star = min_hitting_set_size(G, LIMITS)
+        used, packing = set(), 0
+        for edge in G.edges:
+            if not used & set(edge):
+                used |= set(edge)
+                packing += 1
+        # packing bound 7, k* 14: the clock expires at a search node of
+        # the first level, of a middle one, and of the level that finds k*
+        lowers = []
+        for ticks in (1, 3000, 7600):
+            clock = itertools.chain(
+                itertools.repeat(0.0, ticks), itertools.repeat(math.inf)
+            )
+            monkeypatch.setattr(
+                umhs.oracle, "time", SimpleNamespace(monotonic=clock.__next__)
+            )
+            with pytest.raises(OracleBudgetError) as excinfo:
+                min_hitting_set_size(G, LIMITS)
+            err = excinfo.value
+            assert packing <= err.best_lower <= k_star <= err.best_upper
+            assert f"[{err.best_lower}, {err.best_upper}]" in str(err)
+            lowers.append(err.best_lower)
+        assert lowers == [packing, 12, k_star]
 
 
 class TestEnumerateMinimal:
@@ -291,15 +339,20 @@ class TestEnumerateMinimal:
         for s in enumerate_minimal_hitting_sets(G, 4, LIMITS):
             assert is_minimal_hitting_set(G, s)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_naive_enumeration(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 13))
-        m = int(rng.integers(1, 10))
-        G = random_hypergraph(n, 3, m, seed=seed + 31)
-        k = int(rng.integers(1, 6))
-        got = enumerate_minimal_hitting_sets(G, k, LIMITS)
-        assert got == naive_minimal_hitting_sets(G, k)
+    @pytest.mark.parametrize("case", [*range(12), *EDGE_CASES])
+    def test_matches_naive_enumeration(self, case):
+        if case in EDGE_CASES:
+            G = EDGE_CASES[case]()
+            budgets = range(6)
+        else:
+            rng = np.random.default_rng(case)
+            n = int(rng.integers(4, 13))
+            m = int(rng.integers(1, 10))
+            G = random_hypergraph(n, 3, m, seed=case + 31)
+            budgets = [int(rng.integers(1, 6))]
+        for k in budgets:
+            got = enumerate_minimal_hitting_sets(G, k, LIMITS)
+            assert got == naive_minimal_hitting_sets(G, k)
 
     def test_k_zero_only_for_edgeless(self):
         assert enumerate_minimal_hitting_sets(canonicalize(3, []), 0, LIMITS) == [frozenset()]
