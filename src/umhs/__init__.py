@@ -39,7 +39,6 @@ from .hypergraph import (
     Hypergraph,
     LabeledHypergraph,
     canonicalize,
-    clique_graph,
     is_hitting_set,
     is_minimal_hitting_set,
     prune_to_minimal,
@@ -76,7 +75,6 @@ __all__ = [
     "is_hitting_set",
     "is_minimal_hitting_set",
     "prune_to_minimal",
-    "clique_graph",
     "uniform_subhypergraph",
     "UmhsConfig",
     "UmhsResult",

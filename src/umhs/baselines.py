@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, clique_graph
+from .hypergraph import Edge, Hypergraph
 
 
 @dataclass(frozen=True)
@@ -113,25 +113,41 @@ def _fixed_point(
     return x, False, residual, it.max_iters
 
 
+def _clique_apply(G: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """(Wx)_i = sum over edges e containing i of (sum of x over e) - x_i.
+
+    W is the clique expansion: W[i, j] counts the edges holding both i and
+    j.  Both bincounts add in slot order, so the result is the same float
+    for float as the plain loop over edges and members; no matrix is formed.
+    """
+    indptr, members = G.edge_csr
+    edge_ids = np.repeat(np.arange(len(G.edges)), np.diff(indptr))
+    values = x[members]
+    sums = np.bincount(edge_ids, weights=values, minlength=len(G.edges))
+    return np.bincount(members, weights=sums[edge_ids] - values, minlength=G.n)
+
+
 def _power_iteration(
-    w: np.ndarray, it: IterationParams, norm_ord: int
+    G: Hypergraph, it: IterationParams, norm_ord: int
 ) -> tuple[np.ndarray, bool, float, int]:
-    """Dominant eigenvector of a nonnegative symmetric matrix.
+    """Dominant eigenvector of the clique expansion W of G.
 
     Iterates x <- (W x + x) / norm from a uniform start, the usual shift
     that defeats the sign oscillation on bipartite weight patterns without
     changing the leading eigenvector.
     """
     return _fixed_point(
-        lambda x: w @ x + x,
+        lambda x: _clique_apply(G, x) + x,
         lambda y: np.linalg.norm(y, ord=norm_ord),
-        np.full(w.shape[0], 1.0 / w.shape[0]),
+        np.full(G.n, 1.0 / G.n),
         it,
     )
 
 
-def _components(G: Hypergraph) -> list[list[int]]:
-    """Connected components of the co-occurrence structure, singletons included."""
+def _clique_components(G: Hypergraph) -> list[list[Edge]]:
+    """The edges of each connected component of the clique expansion, in G's
+    order; edges of one member add nothing to it and are left out."""
+    edges = [e for e in G.edges if len(e) > 1]
     parent = list(range(G.n))
 
     def find(a: int) -> int:
@@ -140,48 +156,41 @@ def _components(G: Hypergraph) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for edge in G.edges:
+    for edge in edges:
         root = find(edge[0])
         for v in edge[1:]:
             parent[find(v)] = root
-    groups: dict[int, list[int]] = {}
-    for v in range(G.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    groups: dict[int, list[Edge]] = {}
+    for edge in edges:
+        groups.setdefault(find(edge[0]), []).append(edge)
+    return list(groups.values())
 
 
 def clique_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ranking:
     """Eigenvector centrality on the weighted clique graph.
 
-    Each connected component is solved independently by L1-normalized power
-    iteration, then scaled so its maximum score equals the component's share
-    of the total edge weight; isolated nodes score 0.  An edgeless input
-    yields uniform zero scores in index order.  The reported residual and
-    iteration count are the largest over the components.
+    Each connected component is solved on its own edges, renumbered to its
+    nodes in ascending order, by L1-normalized power iteration, then scaled
+    so its maximum score equals its share of the total edge weight; isolated
+    nodes score 0.  An edgeless input yields uniform zero scores in index
+    order.  The reported residual and iteration count are the largest over
+    the components.
     """
     it = it or IterationParams()
-    w = clique_graph(G)
-    total_weight = float(w.sum()) / 2.0
+    ordered_pairs = sum(len(e) * (len(e) - 1) for e in G.edges)
     scores = np.zeros(G.n)
     converged = True
     residual = 0.0
     iterations = 0
-    if total_weight > 0:
-        for comp in _components(G):
-            if len(comp) < 2:
-                continue
-            idx = np.array(comp)
-            sub = w[np.ix_(idx, idx)]
-            comp_weight = float(sub.sum()) / 2.0
-            if comp_weight == 0.0:
-                continue
-            x, ok, res, steps = _power_iteration(sub, it, norm_ord=1)
-            peak = float(x.max())
-            share = comp_weight / total_weight
-            scores[idx] = x * (share / peak)
-            converged = converged and ok
-            residual = max(residual, res)
-            iterations = max(iterations, steps)
+    for group in _clique_components(G):
+        local = {v: i for i, v in enumerate(sorted({v for e in group for v in e}))}
+        sub = Hypergraph(len(local), tuple(tuple(local[v] for v in e) for e in group))
+        x, ok, res, steps = _power_iteration(sub, it, norm_ord=1)
+        share = sum(len(e) * (len(e) - 1) for e in group) / ordered_pairs
+        scores[list(local)] = x * (share / float(x.max()))
+        converged = converged and ok
+        residual = max(residual, res)
+        iterations = max(iterations, steps)
     return Ranking.from_scores(
         scores, converged=converged, residual=residual, iterations=iterations
     )
@@ -279,11 +288,10 @@ def borgatti_everett_ranking(
     variant is out of scope; the note labels the variant used.
     """
     it = it or IterationParams()
-    w = clique_graph(G)
     note = "borgatti-everett continuous (dominant eigenvector)"
-    if float(w.sum()) == 0.0:
+    if G.rank < 2:
         return Ranking.from_scores(np.zeros(G.n), note=note)
-    x, converged, residual, steps = _power_iteration(w, it, norm_ord=2)
+    x, converged, residual, steps = _power_iteration(G, it, norm_ord=2)
     return Ranking.from_scores(
         x, converged=converged, residual=residual, note=note, iterations=steps
     )

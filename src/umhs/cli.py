@@ -100,6 +100,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("at least one method must be selected")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(
@@ -271,25 +273,32 @@ def write_results_csv(
         )
 
 
+_SBM_FIELDS = {"core": int, "fringe": int, "r": int, "p": float, "q": float, "seed": int}
+
+
 def _parse_sbm_spec(spec: str, seed: int) -> SbmParams:
-    """Parse 'core=15,fringe=60,r=3,p=0.15,q=0.01' into SbmParams."""
-    fields: dict[str, str] = {}
+    """Parse 'core=15,fringe=60,r=3,p=0.15,q=0.01[,seed=S]' into SbmParams,
+    naming any unknown, repeated, unparsable or missing field."""
+    fields: dict[str, int | float] = {}
     for part in spec.split(","):
-        if "=" not in part:
+        key, sep, text = (piece.strip() for piece in part.partition("="))
+        if not sep:
             raise ValueError(f"bad sbm spec fragment {part!r}")
-        key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
+        if key in fields or key not in _SBM_FIELDS:
+            problem = "repeated" if key in fields else "unknown"
+            raise ValueError(f"{problem} sbm spec field {key!r}; fields are "
+                             f"{','.join(_SBM_FIELDS)}")
+        try:
+            fields[key] = _SBM_FIELDS[key](text)
+        except ValueError:
+            raise ValueError(f"sbm spec field {key}: {text!r} is not a valid "
+                             f"{_SBM_FIELDS[key].__name__}") from None
     try:
-        return SbmParams(
-            core_size=int(fields.pop("core")),
-            fringe_size=int(fields.pop("fringe")),
-            r=int(fields.pop("r")),
-            p=float(fields.pop("p")),
-            q=float(fields.pop("q")),
-            seed=int(fields.pop("seed", seed)),
-        )
+        return SbmParams(core_size=fields["core"], fringe_size=fields["fringe"],
+                         r=fields["r"], p=fields["p"], q=fields["q"],
+                         seed=fields.get("seed", seed))
     except KeyError as exc:
-        raise ValueError(f"sbm spec missing field {exc}") from exc
+        raise ValueError(f"sbm spec missing field {exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

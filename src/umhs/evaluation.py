@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .baselines import Ranking
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, node_set
 from .recovery import UmhsConfig, umhs
 
 
@@ -40,20 +40,16 @@ class SweepResult:
     saturation_round: int
 
 
-def _core_set(ranking: Ranking, core: Iterable[int]) -> frozenset[int]:
-    s = frozenset(core)
+def _core_set(n: int, core: Iterable[int]) -> frozenset[int]:
+    s = node_set(n, core)
     if not s:
         raise ValueError("core must be nonempty")
-    n = len(ranking.scores)
-    bad = [v for v in s if not 0 <= v < n]
-    if bad:
-        raise ValueError(f"core members outside node range: {sorted(bad)}")
     return s
 
 
 def precision_at_core_size(ranking: Ranking, core: Iterable[int]) -> float:
     """Fraction of the top-|C| ranked nodes that belong to C."""
-    s = _core_set(ranking, core)
+    s = _core_set(len(ranking.scores), core)
     prefix = ranking.order[: len(s)]
     return sum(1 for v in prefix if v in s) / len(s)
 
@@ -65,7 +61,7 @@ def auprc(ranking: Ranking, core: Iterable[int]) -> tuple[float, PrCurve]:
     precision at i; this equals the stepwise area under the curve, since
     recall rises by exactly 1/|C| at those positions.
     """
-    s = _core_set(ranking, core)
+    s = _core_set(len(ranking.scores), core)
     hits = 0
     total = 0.0
     points: list[tuple[float, float]] = []
@@ -79,9 +75,7 @@ def auprc(ranking: Ranking, core: Iterable[int]) -> tuple[float, PrCurve]:
 
 def sweep(G: Hypergraph, core: Iterable[int], n_max: int, seed: int) -> SweepResult:
     """Per-iteration union size and recovered core fraction of one UMHS run."""
-    s = frozenset(core)
-    if not s:
-        raise ValueError("core must be nonempty")
+    s = _core_set(G.n, core)
     cfg = UmhsConfig(iterations=n_max, seed=seed, record_trajectory=True)
     result = umhs(G, cfg, core=s)
     assert result.trajectory is not None

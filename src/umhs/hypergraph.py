@@ -98,11 +98,12 @@ class Hypergraph:
         """Number of hyperedges containing node v."""
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} outside 0..{self.n - 1}")
-        return len(self.incidence[v])
+        indptr = self.incidence_csr[0]
+        return int(indptr[v + 1] - indptr[v])
 
     def degrees(self) -> tuple[int, ...]:
         """Degree of every node, indexed by node."""
-        return tuple(len(self.incidence[v]) for v in range(self.n))
+        return tuple(np.diff(self.incidence_csr[0]).tolist())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -122,15 +123,21 @@ class LabeledHypergraph:
     core: HittingSet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "core", frozenset(self.core))
-        bad = [v for v in self.core if not 0 <= v < self.graph.n]
-        if bad:
-            raise ValueError(f"core members outside node range: {sorted(bad)}")
+        object.__setattr__(self, "core", node_set(self.graph.n, self.core))
         for idx, edge in enumerate(self.graph.edges):
             if not any(v in self.core for v in edge):
                 raise ValueError(
                     f"core is not a hitting set: edge {idx} {list(edge)} is unhit"
                 )
+
+
+def node_set(n: int, nodes: Iterable[int], what: str = "core members") -> HittingSet:
+    """nodes as a frozenset; ValueError naming any that lie outside 0..n-1."""
+    s = frozenset(nodes)
+    bad = sorted(v for v in s if not 0 <= v < n)
+    if bad:
+        raise ValueError(f"{what} outside node range: {bad}")
+    return s
 
 
 def canonicalize(n: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -214,22 +221,6 @@ def prune_to_minimal(
             for idx in graph.incidence[v]:
                 counts[idx] -= 1
     return frozenset(current)
-
-
-def clique_graph(graph: Hypergraph) -> np.ndarray:
-    """Weighted co-occurrence matrix of the hypergraph.
-
-    W[i, j] counts the hyperedges containing both i and j; the diagonal is
-    zero.  Returned as a dense symmetric float array, which is fine at the
-    instance sizes this package targets.
-    """
-    w = np.zeros((graph.n, graph.n), dtype=float)
-    for edge in graph.edges:
-        for a in range(len(edge)):
-            for b in range(a + 1, len(edge)):
-                w[edge[a], edge[b]] += 1.0
-                w[edge[b], edge[a]] += 1.0
-    return w
 
 
 def uniform_subhypergraph(graph: Hypergraph, r: int) -> tuple[Hypergraph, dict[int, int]]:

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baselines import Ranking
-from .hypergraph import HittingSet, Hypergraph, is_hitting_set
+from .hypergraph import HittingSet, Hypergraph, is_hitting_set, node_set
 
 
 @dataclass(frozen=True)
@@ -256,11 +256,14 @@ def umhs(
     :func:`greedy_matching_certificate` and
     :func:`~umhs.hypergraph.prune_to_minimal` remain the single-round
     reference that these rounds reproduce exactly.
+
+    Raises:
+        ValueError: if a core member lies outside 0..n-1.
     """
     n = G.n
     core_mask = np.zeros(n, dtype=bool)
     if core is not None:
-        core_mask[[v for v in frozenset(core) if 0 <= v < n]] = True
+        core_mask[list(node_set(n, core))] = True
     union = np.zeros(n, dtype=bool)
     sizes: list[int] = []
     overlaps: list[int] = []
@@ -296,10 +299,7 @@ def rank_nodes(G: Hypergraph, members: Iterable[int]) -> Ranking:
     Scores encode (block, degree) on a single scale so that any top-k cut of
     the scores reproduces the order.
     """
-    s = frozenset(members)
-    bad = [v for v in s if not 0 <= v < G.n]
-    if bad:
-        raise ValueError(f"members outside node range: {sorted(bad)}")
+    s = node_set(G.n, members, "members")
     deg = G.degrees()
     span = max(deg, default=0) + 1
     scores = [(2 if v in s else 1) * span + deg[v] for v in range(G.n)]

@@ -1,8 +1,11 @@
 """Reference implementations that only the tests use: exhaustive subset
-searches that cross-check the oracle's alpha = n - k* route."""
+searches that cross-check the oracle's alpha = n - k* route, and the dense
+clique matrix that the matrix-free clique operator is checked against."""
 
 import time
 from itertools import combinations
+
+import numpy as np
 
 from umhs import OracleBudgetError, OracleLimits
 
@@ -37,3 +40,18 @@ def has_independent_set(G, size, limits=None):
         if time.monotonic() > deadline:
             raise OracleBudgetError(f"independent set search at size {size} timed out")
     return False
+
+
+def clique_graph(graph):
+    """Weighted co-occurrence matrix of the hypergraph.
+
+    W[i, j] counts the hyperedges containing both i and j; the diagonal is
+    zero.  Returned as a dense symmetric float array, so only for small n.
+    """
+    w = np.zeros((graph.n, graph.n), dtype=float)
+    for edge in graph.edges:
+        for a in range(len(edge)):
+            for b in range(a + 1, len(edge)):
+                w[edge[a], edge[b]] += 1.0
+                w[edge[b], edge[a]] += 1.0
+    return w

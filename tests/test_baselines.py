@@ -1,20 +1,23 @@
 """Tests for the six comparison rankers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import umhs.baselines
+from reference import clique_graph
 from umhs import (
+    Hypergraph,
     IterationParams,
     Ranking,
     SbmParams,
     borgatti_everett_ranking,
     canonicalize,
     clique_eigen_ranking,
-    clique_graph,
     degree_ranking,
     h_eigen_ranking,
     kcore_ranking,
@@ -23,7 +26,7 @@ from umhs import (
     uniform_subhypergraph,
     z_eigen_ranking,
 )
-from umhs.baselines import _fixed_point, _tensor_apply
+from umhs.baselines import _clique_apply, _fixed_point, _tensor_apply
 
 ALL_RANKERS = [
     degree_ranking,
@@ -73,13 +76,26 @@ def reference_tensor_apply(G, x):
     return f
 
 
-def reference_power(w, it, norm_ord):
-    """Shifted power iteration x <- (W x + x) / norm, one step at a time."""
-    n = w.shape[0]
+def reference_clique_apply(G, x):
+    """(Wx)_i = sum over edges containing i of (the edge's sum of x) - x_i,
+    one edge and one member at a time."""
+    f = np.zeros(G.n)
+    for edge in G.edges:
+        total = 0.0
+        for v in edge:
+            total += x[v]
+        for v in edge:
+            f[v] += total - x[v]
+    return f
+
+
+def reference_power(apply, n, it, norm_ord):
+    """Shifted power iteration x <- (W x + x) / norm, one step at a time;
+    apply(x) is W x."""
     x = np.full(n, 1.0 / n)
     residual = float("inf")
     for step in range(1, it.max_iters + 1):
-        y = w @ x + x
+        y = apply(x) + x
         total = np.linalg.norm(y, ord=norm_ord)
         if total == 0.0:
             return x, True, 0.0, step
@@ -91,7 +107,46 @@ def reference_power(w, it, norm_ord):
     return x, False, residual, it.max_iters
 
 
+def pair_count(edges):
+    return sum(len(e) * (len(e) - 1) // 2 for e in edges)
+
+
 def reference_clique_eigen(G, it):
+    """Per component, found by search over node adjacency: the power
+    iteration on the component's own edges, renumbered to local nodes."""
+    neighbours = [set() for _ in range(G.n)]
+    for edge in G.edges:
+        for v in edge:
+            neighbours[v].update(edge)
+    total_weight = pair_count(G.edges)
+    scores = np.zeros(G.n)
+    converged, residual, steps = True, 0.0, 0
+    seen = set()
+    for start in range(G.n):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            nxt = neighbours[frontier.pop()] - comp
+            frontier += nxt
+            comp |= nxt
+        seen |= comp
+        if len(comp) < 2:
+            continue
+        nodes = sorted(comp)
+        local = {v: i for i, v in enumerate(nodes)}
+        sub = Hypergraph(len(nodes), tuple(
+            tuple(local[v] for v in e) for e in G.edges if e[0] in comp))
+        x, ok, res, k = reference_power(
+            lambda y: reference_clique_apply(sub, y), len(nodes), it, 1)
+        share = pair_count(sub.edges) / total_weight
+        scores[nodes] = x * (share / float(x.max()))
+        converged, residual, steps = converged and ok, max(residual, res), max(steps, k)
+    return scores, converged, residual, steps
+
+
+def dense_clique_eigen(G, it):
+    """clique-eigen as the package computed it over the dense clique matrix."""
     w = clique_graph(G)
     total_weight = float(w.sum()) / 2.0
     scores = np.zeros(G.n)
@@ -110,7 +165,7 @@ def reference_clique_eigen(G, it):
         sub = w[np.ix_(idx, idx)]
         if len(idx) < 2 or sub.sum() == 0.0:
             continue
-        x, ok, res, k = reference_power(sub, it, 1)
+        x, ok, res, k = reference_power(lambda y: sub @ y, len(idx), it, 1)
         scores[idx] = x * ((float(sub.sum()) / 2.0 / total_weight) / float(x.max()))
         converged, residual, steps = converged and ok, max(residual, res), max(steps, k)
     return scores, converged, residual, steps
@@ -167,9 +222,9 @@ def reference_kcore_ranking(G):
 def reference_rankings(G, it):
     """method -> (scores, converged, residual, iterations) by the reference loops."""
     out = {"clique-eigen": reference_clique_eigen(G, it)}
-    w = clique_graph(G)
-    if w.sum() > 0:
-        out["borgatti-everett"] = reference_power(w, it, 2)
+    if any(len(e) > 1 for e in G.edges):
+        out["borgatti-everett"] = reference_power(
+            lambda x: reference_clique_apply(G, x), G.n, it, 2)
     if len({len(e) for e in G.edges}) == 1:
         out["z-eigen"] = reference_tensor(G, it, "z")
         out["h-eigen"] = reference_tensor(G, it, "h")
@@ -215,6 +270,50 @@ class TestTensorApply:
         assert f.tolist() == [15.0, 0.0, 5.0, 0.0, 3.0, 0.0]
 
 
+@st.composite
+def clique_inputs(draw):
+    """A graph with edges of sizes 1..5 (size-1 edges too, so built
+    directly), often isolated nodes or no edge at all, and a vector x on its
+    nodes that mixes exact zeros with arbitrary signed values."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    edges = []
+    if n:
+        edges = draw(st.lists(
+            st.frozensets(st.integers(0, n - 1), min_size=1, max_size=5),
+            max_size=12, unique=True,
+        ))
+    value = st.just(0.0) | st.floats(-1e3, 1e3, allow_nan=False)
+    x = draw(st.lists(value, min_size=n, max_size=n))
+    return Hypergraph(n, tuple(tuple(sorted(e)) for e in edges)), np.array(x)
+
+
+class TestCliqueApply:
+    @given(clique_inputs())
+    @example((canonicalize(4, []), np.array([1.0, 2.0, 3.0, 4.0])))
+    @example((Hypergraph(3, ((1,), (0, 2))), np.array([0.5, 7.0, 1e300])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_bit_for_bit(self, case):
+        G, x = case
+        assert np.array_equal(_clique_apply(G, x), reference_clique_apply(G, x))
+
+    @given(clique_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_reference_matches_dense_matrix(self, case):
+        # relative to the sum of the absolute terms each entry adds up: the
+        # edge sums include x_i itself, so that is the scale rounding works on
+        G, x = case
+        w = clique_graph(G)
+        scale = w @ np.abs(x) + np.array(G.degrees()) * np.abs(x)
+        assert (np.abs(reference_clique_apply(G, x) - w @ x) <= 1e-12 * scale).all()
+
+    def test_hand_example(self):
+        # W[0,1] = 2 and every other pair within an edge 1; node 4 holds only
+        # a one-member edge and node 5 none, so both get zero
+        G = Hypergraph(6, ((0, 1, 2), (0, 1, 3), (4,)))
+        f = _clique_apply(G, np.arange(1.0, 7.0))
+        assert f.tolist() == [11.0, 9.0, 3.0, 3.0, 0.0, 0.0]
+
+
 class TestFixedPoint:
     def test_zero_norm_stops_at_once_as_converged(self):
         x, converged, residual, steps = _fixed_point(
@@ -249,15 +348,19 @@ def eigen_parity_graphs():
         *(uniform_subhypergraph(random_hypergraph(9, 3, 11, seed=s), 3)[0]
           for s in (3, 4)),
         *(connected_pair_graph(seed) for seed in range(3)),
+        Hypergraph(5, ((0,), (1, 2), (2, 3, 4), (3,))),
     ]
 
 
+PARITY_SETTINGS = pytest.mark.parametrize("it", [
+    IterationParams(),
+    IterationParams(max_iters=7),
+    IterationParams(tolerance=1e-30, max_iters=1),
+], ids=["default", "cap7", "cap1"])
+
+
 class TestEigenParity:
-    @pytest.mark.parametrize("it", [
-        IterationParams(),
-        IterationParams(max_iters=7),
-        IterationParams(tolerance=1e-30, max_iters=1),
-    ], ids=["default", "cap7", "cap1"])
+    @PARITY_SETTINGS
     @pytest.mark.parametrize("index", range(len(eigen_parity_graphs())))
     def test_fixtures_match_reference_loops(self, index, it):
         self.check(eigen_parity_graphs()[index], it)
@@ -285,6 +388,76 @@ class TestEigenParity:
             assert got.order == want.order, method
             assert (got.converged, got.residual, got.iterations) == (
                 converged, residual, steps), method
+
+
+class TestDenseParity:
+    """The clique rankers against the loops over the dense clique matrix:
+    the same stopping step, and scores equal up to summation order."""
+
+    @PARITY_SETTINGS
+    @pytest.mark.parametrize("index", range(len(eigen_parity_graphs())))
+    def test_fixtures_match_dense_loops(self, index, it):
+        self.check(eigen_parity_graphs()[index], it, same_order=False)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sbm_instances_match_dense_loops(self, seed):
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, seed=seed)).graph
+        assert G.n == 490
+        self.check(G, IterationParams(), same_order=True)
+
+    @staticmethod
+    def check(G, it, same_order):
+        w = clique_graph(G)
+        expected = {"clique-eigen": dense_clique_eigen(G, it)}
+        if w.sum() > 0:
+            expected["borgatti-everett"] = reference_power(lambda x: w @ x, G.n, it, 2)
+        for method, (scores, converged, _, steps) in expected.items():
+            got = EIGEN_RANKERS[method](G, it)
+            assert (got.converged, got.iterations) == (converged, steps), method
+            assert np.allclose(got.scores, scores, rtol=0, atol=1e-12), method
+            if same_order:
+                assert got.order == Ranking.from_scores(scores).order, method
+
+
+class TestCliqueRankersScale:
+    @pytest.mark.parametrize("ranker", [clique_eigen_ranking, borgatti_everett_ranking])
+    def test_sparse_graph_needs_no_dense_matrix(self, ranker):
+        # the dense clique matrix alone would take 20,000^2 * 8 B = 3.2 GB
+        G = random_hypergraph(20_000, 3, 20_000, seed=0)
+        tracemalloc.start()
+        try:
+            r = ranker(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.converged
+        assert peak < 32 * 2**20
+
+    def test_each_component_applies_only_its_own_edges(self, monkeypatch):
+        # 3000 disjoint edges of sizes 2, 3, 4 in turn, then 10 isolated nodes
+        sizes = [2, 3, 4] * 1000
+        starts = np.cumsum([0] + sizes)
+        G = Hypergraph(int(starts[-1]) + 10, tuple(
+            tuple(range(a, a + k)) for a, k in zip(starts.tolist(), sizes)))
+        calls = []
+
+        def spy(sub, x):
+            calls.append((sub.n, len(sub.edges)))
+            return _clique_apply(sub, x)
+
+        monkeypatch.setattr(umhs.baselines, "_clique_apply", spy)
+        r = clique_eigen_ranking(G)
+        assert r.converged
+        assert calls and all(n <= 4 and m == 1 for n, m in calls)
+        assert len(calls) <= len(sizes) * r.iterations
+        # components of one shape tie exactly, so the order is by index
+        # within each shape: size-4 edges first (largest weight share)
+        for k in (2, 3, 4):
+            assert len({r.scores[v] for a, s in zip(starts, sizes) if s == k
+                        for v in range(a, a + k)}) == 1
+        assert r.scores[-10:] == (0.0,) * 10
+        assert list(r.order[:4000]) == [
+            v for a, s in zip(starts.tolist(), sizes) if s == 4 for v in range(a, a + 4)]
 
 
 class TestRankingType:
@@ -352,6 +525,11 @@ class TestCliqueEigenRanking:
         r = clique_eigen_ranking(G)
         assert set(r.order[:3]) == {0, 1, 2}
         assert r.scores[3] == r.scores[4] == 0.0
+
+    def test_one_member_edges_only_score_zero(self):
+        r = clique_eigen_ranking(Hypergraph(3, ((0,), (2,))))
+        assert r.scores == (0.0, 0.0, 0.0)
+        assert (r.converged, r.iterations) == (True, 0)
 
 
 class TestTensorEigenRankings:
@@ -422,6 +600,11 @@ class TestBorgattiEverettRanking:
         r = borgatti_everett_ranking(canonicalize(3, []))
         assert list(r.order) == [0, 1, 2]
         assert all(s == r.scores[0] for s in r.scores)
+
+    def test_one_member_edges_only_score_zero(self):
+        r = borgatti_everett_ranking(Hypergraph(3, ((0,), (2,))))
+        assert r.scores == (0.0, 0.0, 0.0)
+        assert (r.converged, r.iterations) == (True, 0)
 
     def test_variant_recorded_in_note(self):
         r = borgatti_everett_ranking(single_triple())

@@ -424,6 +424,38 @@ class TestCliLoader:
         assert not out
         assert "exactly one of --input or --sbm" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        (SBM_SPEC + ",sed=4", "unknown sbm spec field 'sed'"),
+        ("core=5,core=6,fringe=12,r=3,p=0.6,q=0.05", "repeated sbm spec field 'core'"),
+        ("core=5,fringe=x,r=3,p=0.6,q=0.05", "sbm spec field fringe: 'x' is not a valid int"),
+        ("core=5,fringe=12,r=3,p=0.6,q=", "sbm spec field q: '' is not a valid float"),
+        ("core=5,fringe=12,r=3,p=0.6", "sbm spec missing field 'q'"),
+        ("core=5,fringe=12,r=3,p=0.6,q", "bad sbm spec fragment 'q'"),
+    ], ids=["unknown", "repeated", "unparsable-int", "unparsable-float", "missing",
+            "no-value"])
+    def test_bad_sbm_spec_names_the_field(self, command, spec, message, capsys):
+        code, out, err = run_cli([command, "--sbm", spec], capsys)
+        assert code == 1
+        assert not out
+        assert message in err
+
+    def test_seed_in_sbm_spec_overrides_the_flag(self, command, capsys):
+        argv = [command, "--sbm", SBM_SPEC + ",seed=4", "--iterations", "3"]
+        _, in_spec, _ = run_cli(argv + ["--seed", "9"], capsys)
+        _, by_flag, _ = run_cli([command, "--sbm", SBM_SPEC, "--iterations", "3",
+                                 "--seed", "9"], capsys)
+        assert "seed=4" in in_spec and "seed=9" in by_flag
+
+    def test_zero_iterations_rejected(self, command, capsys):
+        # recover rejects it even when no selected method runs rounds
+        argv = [command, "--sbm", SBM_SPEC, "--iterations", "0"]
+        if command == "recover":
+            argv += ["--methods", "degree"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert not out
+        assert "iterations must be >= 1, got 0" in err
+
     def test_saturation_round_in_metadata_block(self, command, capsys):
         argv = [command, "--sbm", SBM_SPEC, "--iterations", "12", "--seed", "4"]
         if command == "recover":

@@ -134,3 +134,8 @@ class TestSweep:
         G = random_hypergraph(10, 3, 10, seed=7)
         core = umhs(G, UmhsConfig(iterations=1, seed=8)).union_set
         assert sweep(G, core, 10, seed=4) == sweep(G, core, 10, seed=4)
+
+    def test_core_outside_node_range_rejected(self):
+        G = random_hypergraph(10, 3, 10, seed=7)
+        with pytest.raises(ValueError, match=r"core members outside node range: \[99\]"):
+            sweep(G, [0, 99], 3, 0)

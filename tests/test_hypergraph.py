@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import clique_graph
 from umhs import (
     Hypergraph,
     LabeledHypergraph,
     canonicalize,
-    clique_graph,
     is_hitting_set,
     is_minimal_hitting_set,
     prune_to_minimal,
@@ -115,6 +115,8 @@ class TestHypergraph:
     @settings(max_examples=50, deadline=None)
     def test_degree_handshake_property(self, G):
         assert sum(G.degrees()) == sum(len(e) for e in G.edges)
+        assert G.degrees() == tuple(len(ids) for ids in G.incidence)
+        assert [G.degree(v) for v in range(G.n)] == list(G.degrees())
 
 
 def mixed_sizes():

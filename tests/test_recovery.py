@@ -171,6 +171,13 @@ class TestUmhs:
         assert all(ov is not None for ov in overlaps)
         assert overlaps == sorted(overlaps)
 
+    def test_core_outside_node_range_rejected(self):
+        # a core member that is no node must not be dropped silently: it
+        # would shrink the denominator of every recovered fraction
+        G = random_hypergraph(10, 3, 9, seed=2)
+        with pytest.raises(ValueError, match=r"core members outside node range: \[-1, 10\]"):
+            umhs(G, UmhsConfig(iterations=2), core=[0, 10, -1])
+
     def test_saturation_round_is_last_growth(self):
         G = random_hypergraph(12, 3, 12, seed=9)
         result = umhs(G, UmhsConfig(iterations=25, seed=2, record_trajectory=True))
