@@ -60,6 +60,7 @@ from .oracle import (
     union_minimal,
 )
 from .recovery import (
+    RoundSizes,
     UmhsConfig,
     UmhsResult,
     greedy_matching,
@@ -78,6 +79,7 @@ __all__ = [
     "uniform_subhypergraph",
     "UmhsConfig",
     "UmhsResult",
+    "RoundSizes",
     "greedy_matching",
     "greedy_matching_certificate",
     "umhs",

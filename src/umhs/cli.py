@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import metadata as importlib_metadata
 from pathlib import Path
+from statistics import median
 from typing import Callable, Iterator, Sequence, TextIO
 
 from .baselines import (
@@ -55,7 +56,7 @@ from .oracle import (
     min_hitting_set_size,
     union_minimal,
 )
-from .recovery import UmhsConfig, rank_nodes, umhs
+from .recovery import RoundSizes, UmhsConfig, rank_nodes, umhs
 
 ALL_METHODS = (
     "umhs",
@@ -185,6 +186,16 @@ def _load(cfg: ExperimentConfig) -> tuple[Hypergraph, frozenset[int], list[str]]
     return graph, core, notes
 
 
+def _rounds_note(rounds: RoundSizes) -> str:
+    """The min/median/max of each per-round size of a UMHS run."""
+    parts = ["rounds min/median/max"]
+    for name in ("matching", "greedy", "pruned"):
+        sizes = getattr(rounds, name)
+        mid = f"{median(sizes):.1f}".removesuffix(".0")
+        parts.append(f"{name} {min(sizes)}/{mid}/{max(sizes)}")
+    return " ".join(parts)
+
+
 def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     graph, core, notes = _load(cfg)
     r_value = cfg.r if cfg.r is not None else graph.rank
@@ -198,6 +209,7 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             ranking = rank_nodes(graph, result.union_set)
             output_size = len(result.union_set)
             notes.append(f"saturation_round {result.saturation_round}")
+            notes.append(_rounds_note(result.rounds))
         else:
             try:
                 ranking = _BASELINE_FNS[method](graph, it)
@@ -451,6 +463,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for note in notes:
             out.write(f"# {note}\n")
         out.write(f"# saturation_round {result.saturation_round}\n")
+        out.write(f"# {_rounds_note(result.rounds)}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["iteration", "union_size", "recovered_fraction"])
         for rec in result.records:

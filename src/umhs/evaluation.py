@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .baselines import Ranking
 from .hypergraph import Hypergraph, node_set
-from .recovery import UmhsConfig, umhs
+from .recovery import RoundSizes, UmhsConfig, umhs
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,11 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SweepResult:
     """Per-iteration records of one UMHS run, and the run's saturation round
-    (see :class:`~umhs.recovery.UmhsResult`)."""
+    and per-round sizes (see :class:`~umhs.recovery.UmhsResult`)."""
 
     records: tuple[SweepRecord, ...]
     saturation_round: int
+    rounds: RoundSizes
 
 
 def _core_set(n: int, core: Iterable[int]) -> frozenset[int]:
@@ -87,4 +88,8 @@ def sweep(G: Hypergraph, core: Iterable[int], n_max: int, seed: int) -> SweepRes
         )
         for i, (size, overlap) in enumerate(result.trajectory, start=1)
     )
-    return SweepResult(records=records, saturation_round=result.saturation_round)
+    return SweepResult(
+        records=records,
+        saturation_round=result.saturation_round,
+        rounds=result.rounds,
+    )

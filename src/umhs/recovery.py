@@ -34,17 +34,33 @@ class UmhsConfig:
 
 
 @dataclass(frozen=True)
+class RoundSizes:
+    """Per-round counters of a UMHS run; entry i - 1 belongs to round i.
+
+    matching counts the edges round i's greedy pass took (the maximal
+    matching that certifies its set), greedy is the size of that greedy
+    hitting set, and pruned the size of the minimal set the prune left.
+    """
+
+    matching: tuple[int, ...] = ()
+    greedy: tuple[int, ...] = ()
+    pruned: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
 class UmhsResult:
     """The accumulated union S' and, optionally, its growth per iteration.
 
     trajectory entries are (union size, union-core overlap); the overlap
     slot is None when no core was supplied.  saturation_round is the last
     round whose minimal set added a node to the union (0 if none did).
+    rounds holds every round's matching, greedy and pruned sizes.
     """
 
     union_set: HittingSet
     trajectory: tuple[tuple[int, int | None], ...] | None = None
     saturation_round: int = 0
+    rounds: RoundSizes = RoundSizes()
 
 
 def greedy_matching_certificate(
@@ -101,9 +117,15 @@ _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK = 4
 _FLAT_LIMIT = 1 << 31
 
-# CSR slots gathered per chunk of positions in _steps; bounds the gather's
-# temporaries to a few hundred KiB whatever the block size.
+# CSR slots gathered per chunk of positions; bounds the gather's temporaries
+# to a few hundred KiB whatever the block size.
 _CHUNK_SLOTS = 1 << 13
+
+# Edge positions per chunk of the greedy pass.  The pass skips every position
+# whose rounds all have their edge hit at chunk start, so a short chunk keeps
+# that test fresh; with few rounds per block the slot bound alone would give
+# chunks of over a thousand positions.
+_CHUNK_POSITIONS = 32
 
 
 def _block_size(G: Hypergraph, iterations: int) -> int:
@@ -112,22 +134,26 @@ def _block_size(G: Hypergraph, iterations: int) -> int:
     return max(1, min(iterations, block, _FLAT_LIMIT // size))
 
 
-def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int):
-    """The CSR segments that B rounds visit at each position of perms.
+def _chunks(
+    indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int, limit: int
+):
+    """The CSR segments that B rounds visit at each position of perms, a
+    chunk of at most limit positions at a time.
 
     perms is a (T, B) array of segment keys, column b being round b's order.
-    For each row t this yields (slots, heads, lens): slots concatenates the
-    segments values[indptr[k]:indptr[k + 1]] of the keys k in perms[t], the
-    one of round b shifted by b * width so that slots index a flattened
-    (B, width) array; heads[b] is where round b's segment starts in slots
-    and lens[b] its length.  Every segment must be non-empty.  The work is
-    linear in the total length of the segments; rows are gathered a chunk
-    at a time so that the temporaries stay small.
+    For each chunk of positions this yields (slots, heads, lens): slots
+    concatenates, position by position, the segments
+    values[indptr[k]:indptr[k + 1]] of the keys k in perms, the one of round
+    b shifted by b * width so that slots index a flattened (B, width) array;
+    heads[t, b] is where round b's segment at the chunk's position t starts
+    in slots and lens[t, b] its length.  Every segment must be non-empty.
+    The work is linear in the total length of the segments, and a chunk
+    holds about _CHUNK_SLOTS slots at most, so the temporaries stay small.
     """
     rounds = perms.shape[1]
     shift = np.arange(rounds, dtype=np.int32) * width
     mean_len = -(-int(indptr[-1]) // max(1, len(indptr) - 1))
-    chunk = max(1, _CHUNK_SLOTS // (rounds * max(1, mean_len)))
+    chunk = max(1, min(limit, _CHUNK_SLOTS // (rounds * max(1, mean_len))))
     for lo in range(0, len(perms), chunk):
         keys = perms[lo:lo + chunk]
         starts = indptr[keys]
@@ -139,10 +165,24 @@ def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int
             np.arange(ends[-1, -1]) + np.repeat((starts - heads).reshape(-1), flat_lens)
         ]
         slots += np.repeat(np.tile(shift, len(keys)), flat_lens)
-        begins, stops = heads[:, 0].tolist(), ends[:, -1].tolist()
-        heads = heads - heads[:, :1]
-        for t in range(len(keys)):
-            yield slots[begins[t]:stops[t]], heads[t], lens[t]
+        yield slots, heads, lens
+
+
+def _rows(slots: np.ndarray, heads: np.ndarray, lens: np.ndarray, rows: Iterable[int]):
+    """The given positions of one chunk of _chunks, each as (slots, heads,
+    lens) of its own: its slots, where each round's segment starts in them,
+    and the segment lengths."""
+    begins = heads[:, 0].tolist()
+    stops = (heads[:, -1] + lens[:, -1]).tolist()
+    heads = heads - heads[:, :1]
+    for t in rows:
+        yield slots[begins[t]:stops[t]], heads[t], lens[t]
+
+
+def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int):
+    """Every position of _chunks in turn, as _rows gives it."""
+    for slots, heads, lens in _chunks(indptr, values, perms, width, len(perms)):
+        yield from _rows(slots, heads, lens, range(len(heads)))
 
 
 def _edge_counts(G: Hypergraph, member: np.ndarray) -> np.ndarray:
@@ -155,19 +195,39 @@ def _edge_counts(G: Hypergraph, member: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _greedy_rounds(G: Hypergraph, edge_perms: np.ndarray) -> np.ndarray:
+def _take_unhit(
+    member_flat: np.ndarray, slots: np.ndarray, heads: np.ndarray, lens: np.ndarray
+) -> np.ndarray:
+    """One greedy position of B rounds: each round whose edge, its segment of
+    slots, has no member yet takes the whole edge.  Returns the (B,) bool
+    mask of the rounds that took it."""
+    unhit = ~np.logical_or.reduceat(member_flat[slots], heads)
+    member_flat[slots[np.repeat(unhit, lens)]] = True
+    return unhit
+
+
+def _greedy_rounds(
+    G: Hypergraph, edge_perms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Greedy sets of B rounds from their (m, B) edge permutations.
 
     At position t every round takes its t-th edge if the edge is unhit.
-    Returns a (B, n) bool membership array.
+    Membership only grows, so an edge hit at the start of a chunk of
+    positions stays hit: one gather over the chunk marks the positions at
+    which some round's edge is still unhit, and only those take a step.
+    Returns the (B, n) bool membership array and the (B,) number of edges
+    each round took.
     """
     member = np.zeros((edge_perms.shape[1], G.n), dtype=bool)
     member_flat = member.reshape(-1)
+    matched = np.zeros(edge_perms.shape[1], dtype=np.int64)
     indptr, nodes = G.edge_csr
-    for slots, heads, lens in _steps(indptr, nodes, edge_perms, G.n):
-        unhit = ~np.logical_or.reduceat(member_flat[slots], heads)
-        member_flat[slots[np.repeat(unhit, lens)]] = True
-    return member
+    for slots, heads, lens in _chunks(indptr, nodes, edge_perms, G.n, _CHUNK_POSITIONS):
+        hit = np.logical_or.reduceat(member_flat[slots], heads.reshape(-1))
+        active = np.flatnonzero(~hit.reshape(heads.shape).all(axis=1))
+        for step in _rows(slots, heads, lens, active.tolist()):
+            matched += _take_unhit(member_flat, *step)
+    return member, matched
 
 
 def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> None:
@@ -205,14 +265,18 @@ def _check_rounds(G: Hypergraph, member: np.ndarray) -> None:
         assert not (row & ~private).any(), "every member must privately cover an edge"
 
 
-def _lockstep_rounds(G: Hypergraph, seed: int, lo: int, hi: int) -> np.ndarray:
+def _lockstep_rounds(
+    G: Hypergraph, seed: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The minimal hitting sets of rounds lo..hi-1, computed in lockstep.
 
     Row b of the returned (hi - lo, n) bool array is the set of round lo + b:
     prune_to_minimal(greedy_matching(G, edge_perm), node_perm filtered to
     the greedy set), with both permutations drawn from the round's own
     stream in that order.  Nodes in no edge never join a greedy set, so
-    they are left out of the node orders.
+    they are left out of the node orders.  Row b of the returned
+    (hi - lo, 3) int array holds that round's matching, greedy and pruned
+    sizes.
     """
     n, m, rounds = G.n, len(G.edges), hi - lo
     covered = np.diff(G.incidence_csr[0]) > 0
@@ -225,12 +289,13 @@ def _lockstep_rounds(G: Hypergraph, seed: int, lo: int, hi: int) -> np.ndarray:
         edge_perms[:, b] = rng.permutation(m)
         node_perm = rng.permutation(n)
         node_perms[:, b] = node_perm[covered[node_perm]]
-    member = _greedy_rounds(G, edge_perms)
+    member, matched = _greedy_rounds(G, edge_perms)
     del edge_perms
+    greedy = member.sum(axis=1)
     _prune_rounds(G, member, node_perms)
     if __debug__:
         _check_rounds(G, member)
-    return member
+    return member, np.stack([matched, greedy, member.sum(axis=1)], axis=1)
 
 
 def umhs(
@@ -248,11 +313,15 @@ def umhs(
     Rounds run in lockstep blocks over the hypergraph's CSR views: one
     pass over edge positions runs every round's greedy step, one pass over
     node positions every round's prune, and one vectorized check (skipped
-    under ``python -O``) confirms each set is a minimal hitting set.  Each
-    round's work is linear in the total edge size, however unevenly the
-    degrees and edge sizes are spread.  The block size is derived from the
-    instance so that a block's permutations take about 1 MiB, but a block
-    holds at least four rounds when that many are asked for.
+    under ``python -O``) confirms each set is a minimal hitting set.  The
+    greedy pass walks the edge positions in short chunks: a hit edge
+    stays hit, so one gather at the start of a chunk finds the
+    positions at which every round's edge is already hit, and those are
+    skipped; the others take the step in order.  Each round's work is
+    linear in the total edge size, however unevenly the degrees and edge
+    sizes are spread.  The block size is derived from the instance so that
+    a block's permutations take about 1 MiB, but a block holds at least
+    four rounds when that many are asked for.
     :func:`greedy_matching_certificate` and
     :func:`~umhs.hypergraph.prune_to_minimal` remain the single-round
     reference that these rounds reproduce exactly.
@@ -266,11 +335,15 @@ def umhs(
         core_mask[list(node_set(n, core))] = True
     union = np.zeros(n, dtype=bool)
     sizes: list[int] = []
+    counts: list[np.ndarray] = []
     overlaps: list[int] = []
     saturation = 0
     block = _block_size(G, cfg.iterations)
     for lo in range(1, cfg.iterations + 1, block):
-        rows = _lockstep_rounds(G, cfg.seed, lo, min(lo + block, cfg.iterations + 1))
+        rows, row_counts = _lockstep_rounds(
+            G, cfg.seed, lo, min(lo + block, cfg.iterations + 1)
+        )
+        counts.append(row_counts)
         running = np.logical_or.accumulate(rows, axis=0) | union
         size = running.sum(axis=1)
         grew = np.flatnonzero(np.diff(size, prepend=union.sum()))
@@ -289,6 +362,7 @@ def umhs(
         union_set=frozenset(np.flatnonzero(union).tolist()),
         trajectory=trajectory,
         saturation_round=saturation,
+        rounds=RoundSizes(*(tuple(c) for c in np.concatenate(counts).T.tolist())),
     )
 
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -466,6 +467,22 @@ class TestCliLoader:
         result = umhs(graph, UmhsConfig(iterations=12, seed=4))
         assert f"# saturation_round {result.saturation_round}" in out.splitlines()
 
+    def test_round_sizes_in_metadata_block(self, command, capsys):
+        argv = [command, "--sbm", SBM_SPEC, "--iterations", "12", "--seed", "4"]
+        if command == "recover":
+            argv += ["--methods", "umhs"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        graph = sbm_hypergraph(SbmParams(5, 12, 3, 0.6, 0.05, seed=4)).graph
+        rounds = umhs(graph, UmhsConfig(iterations=12, seed=4)).rounds
+        line = "# rounds min/median/max" + "".join(
+            f" {name} {min(sizes)}/{float(statistics.median(sizes)):g}/{max(sizes)}"
+            for name, sizes in (("matching", rounds.matching),
+                                ("greedy", rounds.greedy),
+                                ("pruned", rounds.pruned))
+        )
+        assert [ln for ln in out.splitlines() if ln.startswith("# rounds")] == [line]
+
     def test_notes_in_metadata_block(self, command, tmp_path, capsys):
         edges, corefile = self.write_instance(tmp_path, "c\n")
         code, out, _ = run_cli(
@@ -474,6 +491,15 @@ class TestCliLoader:
         )
         assert code == 0
         assert f"# input {edges} core {corefile}" in out.splitlines()
+
+
+def test_recover_without_umhs_writes_no_round_sizes(capsys):
+    code, out, _ = run_cli(
+        ["recover", "--sbm", SBM_SPEC, "--iterations", "3", "--methods", "degree"],
+        capsys,
+    )
+    assert code == 0
+    assert "# saturation_round" not in out and "# rounds" not in out
 
 
 # sha256 of the files `umhs generate sbm` wrote before the generator was

@@ -129,6 +129,8 @@ class TestSweep:
         direct = umhs(G, UmhsConfig(iterations=15, seed=3, record_trajectory=True), core=core)
         assert [rec.union_size for rec in result.records] == [s for s, _ in direct.trajectory]
         assert result.saturation_round == direct.saturation_round
+        assert result.rounds == direct.rounds
+        assert len(result.rounds.pruned) == 15
 
     def test_deterministic(self):
         G = random_hypergraph(10, 3, 10, seed=7)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from umhs import (
     Hypergraph,
     OracleLimits,
+    RoundSizes,
+    SbmParams,
     UmhsConfig,
     canonicalize,
     greedy_matching,
@@ -27,6 +29,7 @@ from umhs import (
     prune_to_minimal,
     random_hypergraph,
     rank_nodes,
+    sbm_hypergraph,
     umhs,
     union_minimal,
 )
@@ -205,77 +208,183 @@ class TestUmhs:
 
 
 def reference_round(G, seed, i):
-    """Round i of UMHS through the single-round reference functions."""
+    """Round i of UMHS through the single-round reference functions: its
+    minimal set and its (matching, greedy, pruned) sizes."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-    hit, _ = greedy_matching_certificate(G, rng.permutation(len(G.edges)))
+    hit, selected = greedy_matching_certificate(G, rng.permutation(len(G.edges)))
     removal = [v for v in rng.permutation(G.n).tolist() if v in hit]
-    return prune_to_minimal(G, hit, removal)
+    minimal = prune_to_minimal(G, hit, removal)
+    return minimal, (len(selected), len(hit), len(minimal))
 
 
 def reference_umhs(G, iterations, seed, core):
-    """(union, trajectory, saturation round) from a round-by-round loop."""
-    union, trajectory, saturation = set(), [], 0
+    """(union, trajectory, saturation round, round sizes) from a
+    round-by-round loop."""
+    union, trajectory, saturation, sizes = set(), [], 0, []
     for i in range(1, iterations + 1):
-        minimal = reference_round(G, seed, i)
+        minimal, round_sizes = reference_round(G, seed, i)
         if not minimal <= union:
             saturation = i
         union |= minimal
         trajectory.append((len(union), len(union & core)))
-    return union, tuple(trajectory), saturation
+        sizes.append(round_sizes)
+    rounds = RoundSizes(*(tuple(column) for column in zip(*sizes)))
+    return union, tuple(trajectory), saturation, rounds
+
+
+def unskipped_greedy_rounds(G, edge_perms):
+    """The lockstep greedy pass without the chunk skip: every edge position
+    takes a step.  Returns the (B, n) membership and the (B,) edges taken."""
+    member = np.zeros((edge_perms.shape[1], G.n), dtype=bool)
+    matched = np.zeros(edge_perms.shape[1], dtype=np.int64)
+    indptr, nodes = G.edge_csr
+    for step in recovery._steps(indptr, nodes, edge_perms, G.n):
+        matched += recovery._take_unhit(member.reshape(-1), *step)
+    return member, matched
+
+
+def count_steps(fn, *args):
+    """fn(*args) and the number of greedy steps it took."""
+    with mock.patch.object(recovery, "_take_unhit", wraps=recovery._take_unhit) as spy:
+        out = fn(*args)
+    return spy.call_count, out
 
 
 @st.composite
-def mixed_hypergraphs(draw):
+def mixed_hypergraphs(draw, max_n=10, max_edges=14):
     """Edges of sizes 1-4 and isolated nodes, including m = 0 and n = 0."""
-    n = draw(st.integers(min_value=0, max_value=10))
+    n = draw(st.integers(min_value=0, max_value=max_n))
     if n == 0:
         return Hypergraph(n=0, edges=())
     nodes = st.integers(min_value=0, max_value=n - 1)
     edges = draw(
-        st.sets(st.frozensets(nodes, min_size=1, max_size=min(4, n)), max_size=14)
+        st.sets(
+            st.frozensets(nodes, min_size=1, max_size=min(4, n)), max_size=max_edges
+        )
     )
     return Hypergraph(n=n, edges=tuple(sorted(tuple(sorted(e)) for e in edges)))
 
 
+def star(leaves):
+    """A hub node 0 in every edge {0, v}."""
+    return Hypergraph(n=leaves + 1, edges=tuple((0, v) for v in range(1, leaves + 1)))
+
+
+def huge_edge_plus_pairs(size, pairs):
+    """One edge over nodes 0..size-1, and pairs that tie it to new nodes."""
+    edges = [tuple(range(size))] + [(v % size, size + v) for v in range(pairs)]
+    return Hypergraph(n=size + pairs, edges=tuple(sorted(edges)))
+
+
+def chunked_hypergraphs():
+    """Graphs with enough edges for many greedy chunks, besides the small
+    mixed ones: a hub in every edge, and one huge edge among pairs."""
+    return st.one_of(
+        mixed_hypergraphs(),
+        mixed_hypergraphs(max_n=30, max_edges=90),
+        st.builds(star, st.integers(min_value=1, max_value=80)),
+        st.builds(
+            huge_edge_plus_pairs,
+            st.integers(min_value=2, max_value=60),
+            st.integers(min_value=0, max_value=60),
+        ),
+    )
+
+
+# Edge positions per greedy chunk: 1 steps a chunk at every position, and
+# 10**6 exceeds every m drawn, so the whole pass is one chunk.
+CHUNK_POSITIONS = st.sampled_from([1, 2, 3, 7, 31, 10**6])
+
+
 class TestLockstepRounds:
     @given(
-        mixed_hypergraphs(),
+        chunked_hypergraphs(),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=50),
         st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4),
+        CHUNK_POSITIONS,
     )
-    @settings(max_examples=80, deadline=None)
-    def test_rows_match_reference_rounds(self, G, seed, lo, block_sizes):
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_reference_rounds(self, G, seed, lo, block_sizes, chunk):
         # the rounds lo.. split into consecutive blocks of the drawn sizes
         bounds = np.cumsum([lo] + block_sizes).tolist()
-        rows = np.concatenate(
-            [
+        with mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk):
+            blocks = [
                 recovery._lockstep_rounds(G, seed, start, stop)
                 for start, stop in zip(bounds, bounds[1:])
             ]
-        )
+        rows = np.concatenate([rows for rows, _ in blocks])
+        sizes = np.concatenate([sizes for _, sizes in blocks])
         assert rows.shape == (bounds[-1] - lo, G.n)
+        assert sizes.shape == (bounds[-1] - lo, 3)
         for b, i in enumerate(range(lo, bounds[-1])):
-            assert frozenset(np.flatnonzero(rows[b]).tolist()) == reference_round(
-                G, seed, i
-            ), f"round {i}"
+            minimal, round_sizes = reference_round(G, seed, i)
+            assert frozenset(np.flatnonzero(rows[b]).tolist()) == minimal, f"round {i}"
+            assert tuple(sizes[b].tolist()) == round_sizes, f"round {i}"
 
     @given(
-        mixed_hypergraphs(),
+        chunked_hypergraphs(),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=1, max_value=8),
+        CHUNK_POSITIONS,
     )
-    @settings(max_examples=60, deadline=None)
-    def test_union_and_trajectory_match_reference(self, G, seed, iterations, block):
+    @settings(max_examples=80, deadline=None)
+    def test_union_and_trajectory_match_reference(self, G, seed, iterations, block, chunk):
         core = frozenset(range(0, G.n, 2))
         cfg = UmhsConfig(iterations=iterations, seed=seed, record_trajectory=True)
-        with mock.patch.object(recovery, "_block_size", lambda G, it: block):
+        with mock.patch.object(recovery, "_block_size", lambda G, it: block), \
+                mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk):
             result = umhs(G, cfg, core=core)
-        union, trajectory, saturation = reference_umhs(G, iterations, seed, core)
+        union, trajectory, saturation, rounds = reference_umhs(G, iterations, seed, core)
         assert result.union_set == union
         assert result.trajectory == trajectory
         assert result.saturation_round == saturation
+        assert result.rounds == rounds
+
+    @given(
+        chunked_hypergraphs(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=8),
+        CHUNK_POSITIONS,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_greedy_rows_match_certificate(self, G, seed, rounds, chunk):
+        # the greedy pass alone, before any prune, round by round
+        m = len(G.edges)
+        edge_perms = np.empty((m, rounds), dtype=np.int32)
+        for b in range(rounds):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+            edge_perms[:, b] = rng.permutation(m)
+        with mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk):
+            steps, (member, matched) = count_steps(recovery._greedy_rounds, G, edge_perms)
+        for b in range(rounds):
+            hit, selected = greedy_matching_certificate(G, edge_perms[:, b])
+            assert frozenset(np.flatnonzero(member[b]).tolist()) == hit, f"round {b}"
+            assert matched[b] == len(selected), f"round {b}"
+        unskipped_member, unskipped_matched = unskipped_greedy_rounds(G, edge_perms)
+        assert (member == unskipped_member).all()
+        assert (matched == unskipped_matched).all()
+        # a chunk that takes no edge leaves membership unchanged, so none of
+        # its positions steps; one that takes an edge steps at most chunk times
+        assert steps <= min(m, chunk * int(matched.sum()))
+
+    def test_skip_leaves_few_greedy_steps(self):
+        # recover's second bench instance at seed 1: 301 steps over the
+        # 2594 edge positions of its one 100-round block
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
+        blocks = -(-100 // recovery._block_size(G, 100))
+        steps, _ = count_steps(umhs, G, UmhsConfig(iterations=100, seed=1))
+        assert steps <= 0.2 * blocks * len(G.edges)
+
+    def test_short_block_steps_bounded_by_position_cap(self):
+        # a 2-round block: the slot bound alone would allow chunks of
+        # 8192 // (2 * 3) = 1365 positions, and every position of the first
+        # would step; 73 of the 2665 positions step with the cap
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 2)).graph
+        steps, (_, sizes) = count_steps(recovery._lockstep_rounds, G, 1, 99, 101)
+        assert steps <= recovery._CHUNK_POSITIONS * int(sizes[:, 0].sum())
+        assert steps <= 0.05 * len(G.edges)
 
     def test_derived_block_keeps_permutations_near_one_mib(self):
         G = random_hypergraph(300, 3, 5000, seed=0)
@@ -328,14 +437,18 @@ class TestLockstepRounds:
     def test_optimized_mode_gives_same_result(self):
         # python -O strips the per-block minimality check; it must not
         # change what umhs returns
+        # the second graph has m >= 1000, so its greedy pass runs many
+        # chunks after the first
         script = (
             "import sys\n"
             "from umhs import UmhsConfig, random_hypergraph, umhs\n"
-            "G = random_hypergraph(40, 5, 90, seed=3)\n"
-            "cfg = UmhsConfig(iterations=60, seed=8, record_trajectory=True)\n"
-            "r = umhs(G, cfg, core=range(0, 40, 3))\n"
-            "print(sys.flags.optimize, sorted(r.union_set), r.trajectory, "
-            "r.saturation_round)\n"
+            "print(sys.flags.optimize, end='')\n"
+            "for G in (random_hypergraph(40, 5, 90, seed=3),\n"
+            "          random_hypergraph(300, 3, 1500, seed=4)):\n"
+            "    cfg = UmhsConfig(iterations=60, seed=8, record_trajectory=True)\n"
+            "    r = umhs(G, cfg, core=range(0, G.n, 3))\n"
+            "    print(' ', len(G.edges), sorted(r.union_set), r.trajectory, "
+            "r.saturation_round, r.rounds, end='')\n"
         )
         src = str(Path(recovery.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -351,6 +464,7 @@ class TestLockstepRounds:
         ]
         assert [flag for flag, _ in outputs] == ["0", "1"]
         assert outputs[0][1] == outputs[1][1]
+        assert int(outputs[0][1].split("  ")[1].split(" ", 1)[0]) >= 1000
 
 
 class TestRankNodes:
