@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -113,40 +114,48 @@ def _fixed_point(
     return x, False, residual, it.max_iters
 
 
-def _clique_apply(G: Hypergraph, x: np.ndarray) -> np.ndarray:
+def _clique_apply(
+    indptr: np.ndarray, members: np.ndarray, n: int, x: np.ndarray
+) -> np.ndarray:
     """(Wx)_i = sum over edges e containing i of (sum of x over e) - x_i.
 
-    W is the clique expansion: W[i, j] counts the edges holding both i and
+    The edges are the CSR view (indptr, members) of a graph on n nodes, and
+    W is its clique expansion: W[i, j] counts the edges holding both i and
     j.  Both bincounts add in slot order, so the result is the same float
     for float as the plain loop over edges and members; no matrix is formed.
     """
-    indptr, members = G.edge_csr
-    edge_ids = np.repeat(np.arange(len(G.edges)), np.diff(indptr))
+    m = len(indptr) - 1
+    edge_ids = np.repeat(np.arange(m), np.diff(indptr))
     values = x[members]
-    sums = np.bincount(edge_ids, weights=values, minlength=len(G.edges))
-    return np.bincount(members, weights=sums[edge_ids] - values, minlength=G.n)
+    sums = np.bincount(edge_ids, weights=values, minlength=m)
+    return np.bincount(members, weights=sums[edge_ids] - values, minlength=n)
 
 
 def _power_iteration(
-    G: Hypergraph, it: IterationParams, norm_ord: int
+    indptr: np.ndarray, members: np.ndarray, n: int, it: IterationParams, norm_ord: int
 ) -> tuple[np.ndarray, bool, float, int]:
-    """Dominant eigenvector of the clique expansion W of G.
+    """Dominant eigenvector of the clique expansion W of the CSR edge view
+    (indptr, members) on n nodes.
 
     Iterates x <- (W x + x) / norm from a uniform start, the usual shift
     that defeats the sign oscillation on bipartite weight patterns without
     changing the leading eigenvector.
     """
     return _fixed_point(
-        lambda x: _clique_apply(G, x) + x,
+        lambda x: _clique_apply(indptr, members, n, x) + x,
         lambda y: np.linalg.norm(y, ord=norm_ord),
-        np.full(G.n, 1.0 / G.n),
+        np.full(n, 1.0 / n),
         it,
     )
 
 
-def _clique_components(G: Hypergraph) -> list[list[Edge]]:
-    """The edges of each connected component of the clique expansion, in G's
-    order; edges of one member add nothing to it and are left out."""
+def _clique_components(
+    G: Hypergraph,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each connected component of the clique expansion as (nodes, indptr,
+    members): its nodes ascending, and the CSR view of its edges, in G's
+    order, with every member renumbered to its position in nodes.  Edges of
+    one member add nothing to the expansion and are left out."""
     edges = [e for e in G.edges if len(e) > 1]
     parent = list(range(G.n))
 
@@ -163,7 +172,15 @@ def _clique_components(G: Hypergraph) -> list[list[Edge]]:
     groups: dict[int, list[Edge]] = {}
     for edge in edges:
         groups.setdefault(find(edge[0]), []).append(edge)
-    return list(groups.values())
+    for group in groups.values():
+        sizes = [len(e) for e in group]
+        indptr = np.zeros(len(group) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=indptr[1:])
+        flat = np.fromiter(chain.from_iterable(group), dtype=np.int32, count=indptr[-1])
+        # np.unique would import numpy.ma, about 1 MB of memory, on first use
+        nodes = np.sort(flat)
+        nodes = nodes[np.diff(nodes, prepend=-1) > 0]
+        yield nodes, indptr, np.searchsorted(nodes, flat)
 
 
 def clique_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ranking:
@@ -177,17 +194,17 @@ def clique_eigen_ranking(G: Hypergraph, it: IterationParams | None = None) -> Ra
     the components.
     """
     it = it or IterationParams()
-    ordered_pairs = sum(len(e) * (len(e) - 1) for e in G.edges)
+    sizes = np.diff(G.edge_csr[0])
+    ordered_pairs = int((sizes * (sizes - 1)).sum())
     scores = np.zeros(G.n)
     converged = True
     residual = 0.0
     iterations = 0
-    for group in _clique_components(G):
-        local = {v: i for i, v in enumerate(sorted({v for e in group for v in e}))}
-        sub = Hypergraph(len(local), tuple(tuple(local[v] for v in e) for e in group))
-        x, ok, res, steps = _power_iteration(sub, it, norm_ord=1)
-        share = sum(len(e) * (len(e) - 1) for e in group) / ordered_pairs
-        scores[list(local)] = x * (share / float(x.max()))
+    for nodes, indptr, members in _clique_components(G):
+        x, ok, res, steps = _power_iteration(indptr, members, len(nodes), it, 1)
+        lens = np.diff(indptr)
+        share = int((lens * (lens - 1)).sum()) / ordered_pairs
+        scores[nodes] = x * (share / float(x.max()))
         converged = converged and ok
         residual = max(residual, res)
         iterations = max(iterations, steps)
@@ -291,7 +308,7 @@ def borgatti_everett_ranking(
     note = "borgatti-everett continuous (dominant eigenvector)"
     if G.rank < 2:
         return Ranking.from_scores(np.zeros(G.n), note=note)
-    x, converged, residual, steps = _power_iteration(G, it, norm_ord=2)
+    x, converged, residual, steps = _power_iteration(*G.edge_csr, G.n, it, 2)
     return Ranking.from_scores(
         x, converged=converged, residual=residual, note=note, iterations=steps
     )

@@ -189,11 +189,17 @@ def _load(cfg: ExperimentConfig) -> tuple[Hypergraph, frozenset[int], list[str]]
 def _rounds_note(rounds: RoundSizes) -> str:
     """The min/median/max of each per-round size of a UMHS run."""
     parts = ["rounds min/median/max"]
-    for name in ("matching", "greedy", "pruned"):
+    for name in ("matching", "greedy", "pruned", "new"):
         sizes = getattr(rounds, name)
         mid = f"{median(sizes):.1f}".removesuffix(".0")
         parts.append(f"{name} {min(sizes)}/{mid}/{max(sizes)}")
     return " ".join(parts)
+
+
+def _union_note(size: int, recall: float, core_size: int) -> str:
+    """The UMHS union's size, the share of the core it holds, and its size
+    relative to the core's."""
+    return f"union size {size} core_recall {recall:g} ratio {size / core_size:g}"
 
 
 def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
@@ -210,6 +216,8 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             output_size = len(result.union_set)
             notes.append(f"saturation_round {result.saturation_round}")
             notes.append(_rounds_note(result.rounds))
+            recall = len(result.union_set & core) / len(core)
+            notes.append(_union_note(output_size, recall, len(core)))
         else:
             try:
                 ranking = _BASELINE_FNS[method](graph, it)
@@ -464,6 +472,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             out.write(f"# {note}\n")
         out.write(f"# saturation_round {result.saturation_round}\n")
         out.write(f"# {_rounds_note(result.rounds)}\n")
+        last = result.records[-1]
+        recall = last.recovered_fraction
+        out.write(f"# {_union_note(last.union_size, recall, len(core))}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["iteration", "union_size", "recovered_fraction"])
         for rec in result.records:

@@ -39,12 +39,14 @@ class RoundSizes:
 
     matching counts the edges round i's greedy pass took (the maximal
     matching that certifies its set), greedy is the size of that greedy
-    hitting set, and pruned the size of the minimal set the prune left.
+    hitting set, pruned the size of the minimal set the prune left, and new
+    the number of its members that no earlier round's set held.
     """
 
     matching: tuple[int, ...] = ()
     greedy: tuple[int, ...] = ()
     pruned: tuple[int, ...] = ()
+    new: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class UmhsResult:
     trajectory entries are (union size, union-core overlap); the overlap
     slot is None when no core was supplied.  saturation_round is the last
     round whose minimal set added a node to the union (0 if none did).
-    rounds holds every round's matching, greedy and pruned sizes.
+    rounds holds every round's matching, greedy, pruned and new sizes.
     """
 
     union_set: HittingSet
@@ -135,24 +137,32 @@ def _block_size(G: Hypergraph, iterations: int) -> int:
 
 
 def _chunks(
-    indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int, limit: int
+    indptr: np.ndarray,
+    values: np.ndarray,
+    perms: np.ndarray,
+    width: int,
+    limit: int,
+    total: int,
 ):
     """The CSR segments that B rounds visit at each position of perms, a
     chunk of at most limit positions at a time.
 
-    perms is a (T, B) array of segment keys, column b being round b's order.
-    For each chunk of positions this yields (slots, heads, lens): slots
+    perms is a (T, B) array of segment keys, column b being round b's order,
+    and total is the summed length of the segments of all its keys.  For
+    each chunk of positions this yields (slots, heads, lens): slots
     concatenates, position by position, the segments
     values[indptr[k]:indptr[k + 1]] of the keys k in perms, the one of round
     b shifted by b * width so that slots index a flattened (B, width) array;
     heads[t, b] is where round b's segment at the chunk's position t starts
     in slots and lens[t, b] its length.  Every segment must be non-empty.
-    The work is linear in the total length of the segments, and a chunk
-    holds about _CHUNK_SLOTS slots at most, so the temporaries stay small.
+    The work is linear in the total length of the segments.  Chunks are
+    sized from the mean length of the segments actually walked, so a chunk
+    holds about _CHUNK_SLOTS slots at most and the temporaries stay small
+    even when the keys are the longest segments of the view.
     """
     rounds = perms.shape[1]
     shift = np.arange(rounds, dtype=np.int32) * width
-    mean_len = -(-int(indptr[-1]) // max(1, len(indptr) - 1))
+    mean_len = -(-total // max(1, perms.size))
     chunk = max(1, min(limit, _CHUNK_SLOTS // (rounds * max(1, mean_len))))
     for lo in range(0, len(perms), chunk):
         keys = perms[lo:lo + chunk]
@@ -181,7 +191,8 @@ def _rows(slots: np.ndarray, heads: np.ndarray, lens: np.ndarray, rows: Iterable
 
 def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int):
     """Every position of _chunks in turn, as _rows gives it."""
-    for slots, heads, lens in _chunks(indptr, values, perms, width, len(perms)):
+    total = int(np.diff(indptr)[perms].sum())
+    for slots, heads, lens in _chunks(indptr, values, perms, width, len(perms), total):
         yield from _rows(slots, heads, lens, range(len(heads)))
 
 
@@ -222,7 +233,10 @@ def _greedy_rounds(
     member_flat = member.reshape(-1)
     matched = np.zeros(edge_perms.shape[1], dtype=np.int64)
     indptr, nodes = G.edge_csr
-    for slots, heads, lens in _chunks(indptr, nodes, edge_perms, G.n, _CHUNK_POSITIONS):
+    # every column is a permutation of all edges, so its slots total indptr[-1]
+    total = int(indptr[-1]) * edge_perms.shape[1]
+    chunks = _chunks(indptr, nodes, edge_perms, G.n, _CHUNK_POSITIONS, total)
+    for slots, heads, lens in chunks:
         hit = np.logical_or.reduceat(member_flat[slots], heads.reshape(-1))
         active = np.flatnonzero(~hit.reshape(heads.shape).all(axis=1))
         for step in _rows(slots, heads, lens, active.tolist()):
@@ -233,9 +247,11 @@ def _greedy_rounds(
 def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> None:
     """Prune every row of member in place along its node order.
 
-    node_perms is (k, B): column b lists round b's nodes that lie in some
-    edge.  At position t every round drops its t-th node if it is a member
-    and every edge containing it is hit at least twice.
+    node_perms is (T, B): column b lists round b's greedy members in its
+    removal order, padded with nodes that lie in some edge but are no
+    members (see _members_first).  At position t every round drops its t-th
+    node if it is a member and every edge containing it is hit at least
+    twice; a non-member never drops, so the padding changes nothing.
     """
     counts = _edge_counts(G, member)
     counts_flat = counts.reshape(-1)
@@ -248,6 +264,17 @@ def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> 
         drop = member_flat[nodes] & (np.minimum.reduceat(counts_flat[slots], heads) > 1)
         member_flat[nodes[drop]] = False
         counts_flat[slots[np.repeat(drop, lens)]] -= 1
+
+
+def _members_first(
+    member: np.ndarray, node_perms: np.ndarray, greedy: np.ndarray
+) -> np.ndarray:
+    """The first max(greedy) rows of node_perms after moving, in each column
+    b, round b's members (row b of member, greedy[b] of them) ahead of its
+    other nodes; both groups keep the column's order."""
+    inside = member[np.arange(node_perms.shape[1]), node_perms]
+    order = np.argsort(~inside, axis=0, kind="stable")[:int(greedy.max())]
+    return np.take_along_axis(node_perms, order, axis=0)
 
 
 def _check_rounds(G: Hypergraph, member: np.ndarray) -> None:
@@ -274,9 +301,11 @@ def _lockstep_rounds(
     prune_to_minimal(greedy_matching(G, edge_perm), node_perm filtered to
     the greedy set), with both permutations drawn from the round's own
     stream in that order.  Nodes in no edge never join a greedy set, so
-    they are left out of the node orders.  Row b of the returned
-    (hi - lo, 3) int array holds that round's matching, greedy and pruned
-    sizes.
+    they are left out of the node orders.  The prune walks only the first
+    max(greedy sizes) positions of the orders with each round's members
+    moved to the front: a round's rows past its own greedy size hold
+    non-members, which never drop.  Row b of the returned (hi - lo, 3) int
+    array holds that round's matching, greedy and pruned sizes.
     """
     n, m, rounds = G.n, len(G.edges), hi - lo
     covered = np.diff(G.incidence_csr[0]) > 0
@@ -292,6 +321,7 @@ def _lockstep_rounds(
     member, matched = _greedy_rounds(G, edge_perms)
     del edge_perms
     greedy = member.sum(axis=1)
+    node_perms = _members_first(member, node_perms, greedy)
     _prune_rounds(G, member, node_perms)
     if __debug__:
         _check_rounds(G, member)
@@ -317,12 +347,14 @@ def umhs(
     greedy pass walks the edge positions in short chunks: a hit edge
     stays hit, so one gather at the start of a chunk finds the
     positions at which every round's edge is already hit, and those are
-    skipped; the others take the step in order.  Each round's work is
-    linear in the total edge size, however unevenly the degrees and edge
-    sizes are spread.  The block size is derived from the instance so that
-    a block's permutations take about 1 MiB, but a block holds at least
-    four rounds when that many are asked for.
-    :func:`greedy_matching_certificate` and
+    skipped; the others take the step in order.  The prune walks only as
+    many node positions as the block's largest greedy set has members:
+    each round's order is reordered members first, since only a member can
+    drop.  Each round's work is linear in the total edge size, however
+    unevenly the degrees and edge sizes are spread.  The block size is
+    derived from the instance so that a block's permutations take about
+    1 MiB, but a block holds at least four rounds when that many are asked
+    for.  :func:`greedy_matching_certificate` and
     :func:`~umhs.hypergraph.prune_to_minimal` remain the single-round
     reference that these rounds reproduce exactly.
 
@@ -334,10 +366,9 @@ def umhs(
     if core is not None:
         core_mask[list(node_set(n, core))] = True
     union = np.zeros(n, dtype=bool)
-    sizes: list[int] = []
     counts: list[np.ndarray] = []
+    sizes: list[int] = []
     overlaps: list[int] = []
-    saturation = 0
     block = _block_size(G, cfg.iterations)
     for lo in range(1, cfg.iterations + 1, block):
         rows, row_counts = _lockstep_rounds(
@@ -345,24 +376,23 @@ def umhs(
         )
         counts.append(row_counts)
         running = np.logical_or.accumulate(rows, axis=0) | union
-        size = running.sum(axis=1)
-        grew = np.flatnonzero(np.diff(size, prepend=union.sum()))
-        if grew.size:
-            saturation = lo + int(grew[-1])
-        sizes += size.tolist()
+        sizes += running.sum(axis=1).tolist()
         overlaps += running[:, core_mask].sum(axis=1).tolist()
         union = running[-1]
+    new = np.diff(sizes, prepend=0)
+    grew = np.flatnonzero(new)
     trajectory = None
     if cfg.record_trajectory:
         trajectory = tuple(
             (size, overlap if core is not None else None)
             for size, overlap in zip(sizes, overlaps)
         )
+    table = np.vstack([*np.concatenate(counts).T, new])
     return UmhsResult(
         union_set=frozenset(np.flatnonzero(union).tolist()),
         trajectory=trajectory,
-        saturation_round=saturation,
-        rounds=RoundSizes(*(tuple(c) for c in np.concatenate(counts).T.tolist())),
+        saturation_round=int(grew[-1]) + 1 if grew.size else 0,
+        rounds=RoundSizes(*map(tuple, table.tolist())),
     )
 
 

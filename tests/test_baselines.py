@@ -294,7 +294,8 @@ class TestCliqueApply:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_bit_for_bit(self, case):
         G, x = case
-        assert np.array_equal(_clique_apply(G, x), reference_clique_apply(G, x))
+        got = _clique_apply(*G.edge_csr, G.n, x)
+        assert np.array_equal(got, reference_clique_apply(G, x))
 
     @given(clique_inputs())
     @settings(max_examples=200, deadline=None)
@@ -310,7 +311,7 @@ class TestCliqueApply:
         # W[0,1] = 2 and every other pair within an edge 1; node 4 holds only
         # a one-member edge and node 5 none, so both get zero
         G = Hypergraph(6, ((0, 1, 2), (0, 1, 3), (4,)))
-        f = _clique_apply(G, np.arange(1.0, 7.0))
+        f = _clique_apply(*G.edge_csr, G.n, np.arange(1.0, 7.0))
         assert f.tolist() == [11.0, 9.0, 3.0, 3.0, 0.0, 0.0]
 
 
@@ -441,9 +442,9 @@ class TestCliqueRankersScale:
             tuple(range(a, a + k)) for a, k in zip(starts.tolist(), sizes)))
         calls = []
 
-        def spy(sub, x):
-            calls.append((sub.n, len(sub.edges)))
-            return _clique_apply(sub, x)
+        def spy(indptr, members, n, x):
+            calls.append((n, len(indptr) - 1))
+            return _clique_apply(indptr, members, n, x)
 
         monkeypatch.setattr(umhs.baselines, "_clique_apply", spy)
         r = clique_eigen_ranking(G)

@@ -479,9 +479,26 @@ class TestCliLoader:
             f" {name} {min(sizes)}/{float(statistics.median(sizes)):g}/{max(sizes)}"
             for name, sizes in (("matching", rounds.matching),
                                 ("greedy", rounds.greedy),
-                                ("pruned", rounds.pruned))
+                                ("pruned", rounds.pruned),
+                                ("new", rounds.new))
         )
         assert [ln for ln in out.splitlines() if ln.startswith("# rounds")] == [line]
+
+    def test_union_quality_in_metadata_block(self, command, capsys):
+        argv = [command, "--sbm", SBM_SPEC, "--iterations", "12", "--seed", "4"]
+        if command == "recover":
+            argv += ["--methods", "umhs"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        labeled = sbm_hypergraph(SbmParams(5, 12, 3, 0.6, 0.05, seed=4))
+        union = umhs(labeled.graph, UmhsConfig(iterations=12, seed=4)).union_set
+        core = labeled.core
+        recall = len(union & core) / len(core)
+        line = (f"# union size {len(union)} core_recall {recall:g} "
+                f"ratio {len(union) / len(core):g}")
+        assert [ln for ln in out.splitlines() if ln.startswith("# union")] == [line]
+        # the seed-4 instance: a 9-node union holds the 5-node core
+        assert line == "# union size 9 core_recall 1 ratio 1.8"
 
     def test_notes_in_metadata_block(self, command, tmp_path, capsys):
         edges, corefile = self.write_instance(tmp_path, "c\n")
@@ -500,6 +517,24 @@ def test_recover_without_umhs_writes_no_round_sizes(capsys):
     )
     assert code == 0
     assert "# saturation_round" not in out and "# rounds" not in out
+
+
+def test_union_quality_absent_without_a_union_and_core(tmp_path, capsys):
+    # recover and sweep reject every input without a non-empty core, so the
+    # union line is missing only where no union is compared with a core:
+    # recover without umhs, and oracle, whose input has no core
+    code, out, _ = run_cli(
+        ["recover", "--sbm", SBM_SPEC, "--iterations", "3", "--methods", "degree"],
+        capsys,
+    )
+    assert code == 0
+    assert not [ln for ln in out.splitlines() if ln.startswith("# union")]
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b\nb c\n")
+    code, out, _ = run_cli(["oracle", "--input", str(edges)], capsys)
+    assert code == 0
+    assert "union_size 1" in out.splitlines()
+    assert not [ln for ln in out.splitlines() if ln.startswith("# union")]
 
 
 # sha256 of the files `umhs generate sbm` wrote before the generator was

@@ -218,13 +218,14 @@ def reference_round(G, seed, i):
 
 
 def reference_umhs(G, iterations, seed, core):
-    """(union, trajectory, saturation round, round sizes) from a
-    round-by-round loop."""
+    """(union, trajectory, saturation round, round sizes with the new members
+    of each round) from a round-by-round loop."""
     union, trajectory, saturation, sizes = set(), [], 0, []
     for i in range(1, iterations + 1):
         minimal, round_sizes = reference_round(G, seed, i)
         if not minimal <= union:
             saturation = i
+        round_sizes += (len(minimal - union),)
         union |= minimal
         trajectory.append((len(union), len(union & core)))
         sizes.append(round_sizes)
@@ -241,6 +242,21 @@ def unskipped_greedy_rounds(G, edge_perms):
     for step in recovery._steps(indptr, nodes, edge_perms, G.n):
         matched += recovery._take_unhit(member.reshape(-1), *step)
     return member, matched
+
+
+def prune_inputs(G, seed, lo, hi):
+    """The greedy membership and the node block that _lockstep_rounds hands
+    its prune for rounds lo..hi-1, as they were before the prune."""
+    seen = []
+    prune = recovery._prune_rounds
+
+    def record(G, member, node_perms):
+        seen.append((member.copy(), node_perms))
+        prune(G, member, node_perms)
+
+    with mock.patch.object(recovery, "_prune_rounds", record):
+        recovery._lockstep_rounds(G, seed, lo, hi)
+    return seen[0]
 
 
 def count_steps(fn, *args):
@@ -385,6 +401,70 @@ class TestLockstepRounds:
         steps, (_, sizes) = count_steps(recovery._lockstep_rounds, G, 1, 99, 101)
         assert steps <= recovery._CHUNK_POSITIONS * int(sizes[:, 0].sum())
         assert steps <= 0.05 * len(G.edges)
+
+    @given(
+        chunked_hypergraphs(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_compacted_prune_matches_full_walk(self, G, seed, rounds):
+        # the prune over the members-first block against the prune over
+        # every covered node of each round's order
+        rng = np.random.default_rng(seed)
+        covered = np.flatnonzero(np.diff(G.incidence_csr[0]))
+        edge_perms = np.array(
+            [rng.permutation(len(G.edges)) for _ in range(rounds)], dtype=np.int32).T
+        node_perms = np.array(
+            [rng.permutation(covered) for _ in range(rounds)], dtype=np.int32).T
+        member, _ = recovery._greedy_rounds(G, edge_perms)
+        greedy = member.sum(axis=1)
+        compact = recovery._members_first(member, node_perms, greedy)
+        assert compact.shape == (max(greedy.tolist(), default=0), rounds)
+        for b, order in enumerate(node_perms.T):
+            members = order[member[b, order]]
+            assert compact[:greedy[b], b].tolist() == members.tolist(), f"round {b}"
+            padding = compact[greedy[b]:, b]
+            assert not member[b, padding].any(), f"round {b}"
+            assert set(padding.tolist()) <= set(covered.tolist()), f"round {b}"
+        full = member.copy()
+        recovery._prune_rounds(G, full, node_perms)
+        recovery._prune_rounds(G, member, compact)
+        assert (member == full).all()
+
+    def test_prune_walks_only_the_widest_greedy_set(self):
+        # recover's second bench instance at seed 1: each block's prune
+        # walks max(greedy sizes) positions (120), not all 490 covered nodes
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
+        covered = int(np.count_nonzero(np.diff(G.incidence_csr[0])))
+        with mock.patch.object(
+            recovery, "_prune_rounds", wraps=recovery._prune_rounds
+        ) as spy:
+            result = umhs(G, UmhsConfig(iterations=100, seed=1))
+        block = recovery._block_size(G, 100)
+        greedy = result.rounds.greedy
+        widths = [call.args[2].shape for call in spy.call_args_list]
+        assert widths == [
+            (max(greedy[lo:lo + block]), len(greedy[lo:lo + block]))
+            for lo in range(0, 100, block)
+        ]
+        assert all(width <= 0.25 * covered for width, _ in widths)
+
+    def test_prune_chunk_temporaries_bounded(self):
+        # chunks are sized from the degrees of the members the prune walks:
+        # sized from the graph's mean degree, the members' chunks took
+        # ~670 kB of temporaries here instead of ~290 kB, beyond the
+        # (B, m) int32 hit counts that the prune needs anyway
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
+        member, node_perms = prune_inputs(G, 1, 1, 101)
+        tracemalloc.start()
+        try:
+            recovery._prune_rounds(G, member, node_perms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        counts = member.shape[0] * len(G.edges) * 4
+        assert peak < counts + 400_000, f"prune peaked at {peak} bytes"
 
     def test_derived_block_keeps_permutations_near_one_mib(self):
         G = random_hypergraph(300, 3, 5000, seed=0)
