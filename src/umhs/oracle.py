@@ -9,8 +9,11 @@ come from one depth-first hitting-set search: the enumeration takes every
 leaf at its budget k, and k* deepens the budget one level at a time from a
 disjoint-packing lower bound until a leaf appears.  All entry points take
 OracleLimits and fail loudly instead of truncating silently.  Internally
-edges are handled as node bitmasks, which keeps the search loops cheap
-without any native code.
+sets of nodes are int bitmasks, and the search runs over an edge-bitset
+view: the edges sorted stably by size, and per node an int whose bits are
+the sorted positions of its edges.  The uncovered edges are then one int,
+so a search step is a few big-int operations rather than a Python loop
+over the edges, and no native code is needed.
 """
 
 from __future__ import annotations
@@ -257,19 +260,38 @@ def _packing_lower_bound(masks: list[int]) -> int:
     return count
 
 
-def _hitting_leaves(masks: list[int], k: int, deadline: float) -> Iterator[int]:
+# The edges sorted stably by size, and per node the int bitmask of the
+# sorted positions of its edges.
+_EdgeView = tuple[list[Edge], list[int]]
+
+
+def _edge_view(G: Hypergraph) -> _EdgeView:
+    edges = sorted(G.edges, key=len)
+    inc = [0] * G.n
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v] |= 1 << i
+    return edges, inc
+
+
+def _hitting_leaves(view: _EdgeView, k: int, deadline: float) -> Iterator[int]:
     """Yield, depth first, node masks of size <= k that hit every edge.
 
     Each branch adds one member of the smallest uncovered edge, so every
     minimal hitting set of size <= k is reached (singleton edges, legal in
-    kernels, force their node by always being smallest).  Inner nodes are
-    memoized on the chosen mask, which fixes both the count (its popcount)
-    and the uncovered edges, so no subtree is searched twice.  The same
-    leaf may be yielded more than once.
+    kernels, force their node by always being smallest).  The uncovered
+    edges are one bitmask over the view's positions, so the smallest is
+    its lowest set bit; the stable size sort makes that the first edge of
+    least size in the graph's own order, the same tie-break as a min()
+    over the edge list.  Inner nodes are memoized on the chosen mask,
+    which fixes both the count (its popcount) and the uncovered edges, so
+    no subtree is searched twice.  The same leaf may be yielded more than
+    once.
     """
+    edges, inc = view
     visited: set[int] = set()
 
-    def dfs(chosen: int, count: int, uncovered: list[int]) -> Iterator[int]:
+    def dfs(chosen: int, count: int, uncovered: int) -> Iterator[int]:
         if not uncovered:
             yield chosen
             return
@@ -280,13 +302,10 @@ def _hitting_leaves(masks: list[int], k: int, deadline: float) -> Iterator[int]:
             raise OracleBudgetError(
                 f"search for hitting sets of size <= {k} timed out"
             )
-        edge = min(uncovered, key=int.bit_count)
-        for v in _bits(edge):
-            bit = 1 << v
-            rest = [m for m in uncovered if not m & bit]
-            yield from dfs(chosen | bit, count + 1, rest)
+        for v in edges[(uncovered & -uncovered).bit_length() - 1]:
+            yield from dfs(chosen | 1 << v, count + 1, uncovered & ~inc[v])
 
-    return dfs(0, 0, masks)
+    return dfs(0, 0, (1 << len(edges)) - 1)
 
 
 def min_hitting_set_size(
@@ -305,11 +324,11 @@ def min_hitting_set_size(
     deadline = time.monotonic() + limits.time_budget
     start = greedy_matching(G, range(len(G.edges)))
     best = len(prune_to_minimal(G, start, sorted(start)))
-    masks = _edge_masks(G.edges)
-    k = _packing_lower_bound(masks)
+    view = _edge_view(G)
+    k = _packing_lower_bound(_edge_masks(G.edges))
     while k < best:
         try:
-            if next(_hitting_leaves(masks, k, deadline), None) is not None:
+            if next(_hitting_leaves(view, k, deadline), None) is not None:
                 return k
         except OracleBudgetError:
             raise OracleBudgetError(
@@ -337,25 +356,26 @@ def enumerate_minimal_hitting_sets(
     if k > limits.max_k:
         raise ValueError(f"k={k} above the oracle limit {limits.max_k}")
     deadline = time.monotonic() + limits.time_budget
-    masks = _edge_masks(G.edges)
+    view = _edge_view(G)
     out = [
         frozenset(_bits(leaf))
-        for leaf in set(_hitting_leaves(masks, k, deadline))
-        if _is_minimal_mask(leaf, masks)
+        for leaf in set(_hitting_leaves(view, k, deadline))
+        if _is_minimal_mask(leaf, view)
     ]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 
 
-def _is_minimal_mask(candidate: int, masks: list[int]) -> bool:
-    private = 0
-    for m in masks:
-        inter = m & candidate
-        if not inter:
-            return False
-        if inter.bit_count() == 1:
-            private |= inter
-    return private == candidate
+def _is_minimal_mask(candidate: int, view: _EdgeView) -> bool:
+    """Does the node mask hit every edge, each member some edge alone?"""
+    edges, inc = view
+    members = _bits(candidate)
+    once = twice = 0
+    for v in members:
+        twice |= once & inc[v]
+        once |= inc[v]
+    alone = once & ~twice
+    return once == (1 << len(edges)) - 1 and all(inc[v] & alone for v in members)
 
 
 def union_minimal(

@@ -197,12 +197,27 @@ def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int
 
 
 def _edge_counts(G: Hypergraph, member: np.ndarray) -> np.ndarray:
-    """(B, m) int32 hits of each row's set of the (B, n) member on each edge."""
+    """(B, m) int32 hits of each row's set of the (B, n) member on each edge.
+
+    Summed over member positions, every round at once: step j adds each
+    edge's j-th member.  While at least a quarter of the edges have one,
+    the step gathers for all edges and clears the shorter ones; later steps
+    gather only the edges long enough, so one long edge costs no full pass
+    per member.
+    """
     indptr, nodes = G.edge_csr
     counts = np.zeros((member.shape[0], len(G.edges)), dtype=np.int32)
-    if len(G.edges):
-        for row, out in zip(member, counts):
-            np.add.reduceat(row[nodes], indptr[:-1], dtype=np.int32, out=out)
+    starts, sizes = indptr[:-1], np.diff(indptr)
+    for j in range(G.rank):
+        live = sizes > j
+        if 4 * np.count_nonzero(live) >= len(sizes):
+            hit = member[:, nodes[np.minimum(starts + j, len(nodes) - 1)]]
+            hit[:, ~live] = False
+            counts += hit
+            del hit  # the next step's gather must not coexist with this one
+        else:
+            edges = np.flatnonzero(live)
+            counts[:, edges] += member[:, nodes[starts[edges] + j]]
     return counts
 
 

@@ -1,6 +1,8 @@
 """Reference implementations that only the tests use: exhaustive subset
-searches that cross-check the oracle's alpha = n - k* route, and the dense
-clique matrix that the matrix-free clique operator is checked against."""
+searches that cross-check the oracle's alpha = n - k* route, the
+list-based hitting-set search that the oracle's edge-bitset search is
+checked against, and the dense clique matrix that the matrix-free clique
+operator is checked against."""
 
 import time
 from itertools import combinations
@@ -40,6 +42,35 @@ def has_independent_set(G, size, limits=None):
         if time.monotonic() > deadline:
             raise OracleBudgetError(f"independent set search at size {size} timed out")
     return False
+
+
+def hitting_leaves_reference(masks, k, deadline):
+    """The oracle's hitting-set search over a list of edge node masks.
+
+    Each inner node keeps its uncovered edges as a list, branches on the
+    first edge of least size and filters the list once per child.  Yields
+    the same leaves, in the same order and multiplicity, as
+    umhs.oracle._hitting_leaves on the graph's edge view.
+    """
+    visited = set()
+
+    def dfs(chosen, count, uncovered):
+        if not uncovered:
+            yield chosen
+            return
+        if count == k or chosen in visited:
+            return
+        visited.add(chosen)
+        if time.monotonic() > deadline:
+            raise OracleBudgetError(f"search for hitting sets of size <= {k} timed out")
+        edge = min(uncovered, key=int.bit_count)
+        for v in range(edge.bit_length()):
+            bit = 1 << v
+            if edge & bit:
+                rest = [m for m in uncovered if not m & bit]
+                yield from dfs(chosen | bit, count + 1, rest)
+
+    return dfs(0, 0, masks)
 
 
 def clique_graph(graph):

@@ -8,14 +8,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import umhs.oracle
-from reference import has_independent_set, independence_number_exhaustive
+from reference import (
+    has_independent_set,
+    hitting_leaves_reference,
+    independence_number_exhaustive,
+)
 from umhs import (
     Hypergraph,
     LabeledHypergraph,
     OracleBudgetError,
     OracleLimits,
+    SbmParams,
     Sunflower,
     canonicalize,
     check_membership_lemmas,
@@ -27,6 +34,7 @@ from umhs import (
     kernelize,
     min_hitting_set_size,
     random_hypergraph,
+    sbm_hypergraph,
     sigma,
     tree_family,
     union_minimal,
@@ -311,6 +319,75 @@ class TestMinHittingSetSize:
             assert f"[{err.best_lower}, {err.best_upper}]" in str(err)
             lowers.append(err.best_lower)
         assert lowers == [packing, 12, k_star]
+
+
+@st.composite
+def search_inputs(draw):
+    """A graph on up to 26 nodes with up to 30 distinct edges of sizes 1-5,
+    so size ties and singleton edges are common, and a budget k in 0..6."""
+    n = draw(st.integers(1, 26))
+    edges = draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(5, n)),
+        max_size=30,
+        unique=True,
+    ))
+    k = draw(st.integers(0, 6))
+    return Hypergraph(n, tuple(tuple(sorted(e)) for e in edges)), k
+
+
+class TestEdgeBitsetSearch:
+    @given(search_inputs())
+    @example((Hypergraph(3, ()), 0))
+    @example((Hypergraph(3, ()), 2))
+    @example((Hypergraph(4, ((0, 1), (2,), (1, 3))), 0))
+    @example((Hypergraph(4, ((0, 1), (2,), (1, 3))), 3))
+    @example((Hypergraph(26, ((24, 25), (3,), (0, 1, 2), (25,), (0, 25), (4, 5))), 4))
+    @settings(max_examples=300, deadline=None)
+    def test_same_leaf_sequence_as_list_search(self, case):
+        G, k = case
+        view = umhs.oracle._edge_view(G)
+        got = list(umhs.oracle._hitting_leaves(view, k, math.inf))
+        masks = umhs.oracle._edge_masks(G.edges)
+        assert got == list(hitting_leaves_reference(masks, k, math.inf))
+
+    @given(search_inputs(), st.lists(st.frozensets(st.integers(0, 25)), max_size=20))
+    @example((Hypergraph(3, ()), 0), [frozenset(), frozenset({1})])
+    @settings(max_examples=200, deadline=None)
+    def test_minimality_matches_hypergraph_predicate(self, case, drawn):
+        # the search's leaves all hit, so they exercise the minimal side
+        G, _ = case
+        view = umhs.oracle._edge_view(G)
+        leaves = set(umhs.oracle._hitting_leaves(view, 4, math.inf))
+        for mask in leaves | {sum(1 << v for v in c if v < G.n) for c in drawn}:
+            members = [v for v in range(G.n) if mask >> v & 1]
+            assert umhs.oracle._is_minimal_mask(mask, view) == (
+                is_minimal_hitting_set(G, members)
+            )
+
+    def test_view_built_once_across_levels(self, monkeypatch):
+        # the bench's three sbm_c10 shapes at seed 1: packing bound 4, k* 10,
+        # so levels 4..9 are each searched and all must share one view
+        built, searched = [], []
+        edge_view, hitting_leaves = umhs.oracle._edge_view, umhs.oracle._hitting_leaves
+
+        def spy_view(G):
+            built.append(edge_view(G))
+            return built[-1]
+
+        def spy_leaves(view, k, deadline):
+            searched.append((view, k))
+            return hitting_leaves(view, k, deadline)
+
+        monkeypatch.setattr(umhs.oracle, "_edge_view", spy_view)
+        monkeypatch.setattr(umhs.oracle, "_hitting_leaves", spy_leaves)
+        for seed, q in ((8, 0.3), (9, 0.3), (10, 0.15)):
+            G = sbm_hypergraph(SbmParams(10, 16, 3, 0.5, q, seed)).graph
+            built.clear()
+            searched.clear()
+            assert min_hitting_set_size(G, LIMITS) == 10
+            assert len(built) == 1
+            assert [k for _, k in searched] == list(range(4, 10))
+            assert all(view is built[0] for view, _ in searched)
 
 
 class TestEnumerateMinimal:

@@ -385,6 +385,23 @@ class TestLockstepRounds:
         # its positions steps; one that takes an edge steps at most chunk times
         assert steps <= min(m, chunk * int(matched.sum()))
 
+    @given(
+        chunked_hypergraphs(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_edge_counts_match_per_edge_sums(self, G, seed, rounds):
+        # the huge-edge graphs send their long edge through the steps that
+        # gather only the edges long enough
+        member = np.random.default_rng(seed).random((rounds, G.n)) < 0.5
+        counts = recovery._edge_counts(G, member)
+        assert counts.dtype == np.int32
+        assert counts.shape == (rounds, len(G.edges))
+        assert counts.tolist() == [
+            [int(member[b, list(e)].sum()) for e in G.edges] for b in range(rounds)
+        ]
+
     def test_skip_leaves_few_greedy_steps(self):
         # recover's second bench instance at seed 1: 301 steps over the
         # 2594 edge positions of its one 100-round block
