@@ -199,25 +199,19 @@ def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int
 def _edge_counts(G: Hypergraph, member: np.ndarray) -> np.ndarray:
     """(B, m) int32 hits of each row's set of the (B, n) member on each edge.
 
-    Summed over member positions, every round at once: step j adds each
-    edge's j-th member.  While at least a quarter of the edges have one,
-    the step gathers for all edges and clears the shorter ones; later steps
-    gather only the edges long enough, so one long edge costs no full pass
-    per member.
+    Summed over member positions, every round at once: step j adds the j-th
+    member of each edge that has one.  A step that covers every edge adds
+    in place (a fancy index of all m columns would copy them out and back);
+    a later one gathers only the edges long enough, so one long edge costs
+    no full pass per member.
     """
     indptr, nodes = G.edge_csr
     counts = np.zeros((member.shape[0], len(G.edges)), dtype=np.int32)
     starts, sizes = indptr[:-1], np.diff(indptr)
     for j in range(G.rank):
-        live = sizes > j
-        if 4 * np.count_nonzero(live) >= len(sizes):
-            hit = member[:, nodes[np.minimum(starts + j, len(nodes) - 1)]]
-            hit[:, ~live] = False
-            counts += hit
-            del hit  # the next step's gather must not coexist with this one
-        else:
-            edges = np.flatnonzero(live)
-            counts[:, edges] += member[:, nodes[starts[edges] + j]]
+        live = np.flatnonzero(sizes > j)
+        cols = slice(None) if len(live) == len(sizes) else live
+        counts[:, cols] += member[:, nodes[starts[cols] + j]]
     return counts
 
 

@@ -392,8 +392,8 @@ class TestLockstepRounds:
     )
     @settings(max_examples=100, deadline=None)
     def test_edge_counts_match_per_edge_sums(self, G, seed, rounds):
-        # the huge-edge graphs send their long edge through the steps that
-        # gather only the edges long enough
+        # uniform graphs take only in-place steps; the mixed and huge-edge
+        # graphs also take the steps that gather only the edges long enough
         member = np.random.default_rng(seed).random((rounds, G.n)) < 0.5
         counts = recovery._edge_counts(G, member)
         assert counts.dtype == np.int32
