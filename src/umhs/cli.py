@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
@@ -48,7 +49,7 @@ from .generators import (
     sbm_hypergraph,
     tree_family,
 )
-from .hypergraph import Hypergraph, LabeledHypergraph, uniform_subhypergraph
+from .hypergraph import Hypergraph, uniform_subhypergraph, unhit_edges
 from .oracle import (
     OracleBudgetError,
     OracleLimits,
@@ -171,18 +172,17 @@ def _load(cfg: ExperimentConfig) -> tuple[Hypergraph, frozenset[int], list[str]]
                      f"edges={len(graph.edges)}")
         if not core:
             raise ValueError(f"no core node remains in the {cfg.r}-uniform part")
-    unhit = [e for e in graph.edges if core.isdisjoint(e)]
+    unhit = unhit_edges(graph, core)
     if unhit:
         if not cfg.allow_unhit:
             raise _UnhitEdgeError(
                 "core is not a hitting set: edge "
-                f"\"{' '.join(names[v] for v in unhit[0])}\" is unhit"
+                f"\"{' '.join(names[v] for v in graph.edges[unhit[0]])}\" is unhit"
             )
         dropped = set(unhit)
-        keep = tuple(e for e in graph.edges if e not in dropped)
+        keep = tuple(e for idx, e in enumerate(graph.edges) if idx not in dropped)
         graph = Hypergraph(n=graph.n, edges=keep)
         notes.append(f"dropped {len(unhit)} unhit edges (--allow-unhit)")
-    LabeledHypergraph(graph=graph, core=core)
     return graph, core, notes
 
 
@@ -337,6 +337,7 @@ def _add_instance(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iterations", type=int, default=100)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="umhs",

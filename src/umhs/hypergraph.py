@@ -58,12 +58,11 @@ class Hypergraph:
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each node, the indices of the edges containing it."""
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for idx, edge in enumerate(self.edges):
-            for v in edge:
-                lists[v].append(idx)
-        return tuple(tuple(lst) for lst in lists)
+        """For each node, the ascending indices of the edges containing it:
+        :attr:`incidence_csr` as tuples."""
+        indptr, indices = self.incidence_csr
+        bounds, ids = indptr.tolist(), tuple(indices.tolist())
+        return tuple(ids[a:b] for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def edge_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +81,7 @@ class Hypergraph:
 
     @cached_property
     def incidence_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (indptr, indices) CSR form of :attr:`incidence`.
+        """Read-only (indptr, indices) CSR view of the edges at each node.
 
         indices[indptr[v]:indptr[v + 1]] are the int32 indices of the edges
         containing node v, ascending; indptr has n + 1 entries.
@@ -124,11 +123,10 @@ class LabeledHypergraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "core", node_set(self.graph.n, self.core))
-        for idx, edge in enumerate(self.graph.edges):
-            if not any(v in self.core for v in edge):
-                raise ValueError(
-                    f"core is not a hitting set: edge {idx} {list(edge)} is unhit"
-                )
+        unhit = unhit_edges(self.graph, self.core)
+        if unhit:
+            edge = list(self.graph.edges[unhit[0]])
+            raise ValueError(f"core is not a hitting set: edge {unhit[0]} {edge} is unhit")
 
 
 def node_set(n: int, nodes: Iterable[int], what: str = "core members") -> HittingSet:
@@ -152,27 +150,29 @@ def canonicalize(n: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph:
             members, naming the offending edge.
     """
     out: list[Edge] = []
-    seen: set[Edge] = set()
     for idx, raw in enumerate(raw_edges):
         members = tuple(sorted(set(raw)))
-        if any(not 0 <= v < n for v in members):
+        if members and (members[0] < 0 or members[-1] >= n):
             raise ValueError(
-                f"edge {idx} has members outside 0..{n - 1}: {sorted(set(raw))}"
+                f"edge {idx} has members outside 0..{n - 1}: {list(members)}"
             )
         if len(members) < 2:
             raise ValueError(
                 f"edge {idx} has fewer than 2 distinct members: {list(members)}"
             )
-        if members not in seen:
-            seen.add(members)
-            out.append(members)
-    return Hypergraph(n=n, edges=tuple(out))
+        out.append(members)
+    return Hypergraph(n=n, edges=tuple(dict.fromkeys(out)))
+
+
+def unhit_edges(graph: Hypergraph, nodes: Iterable[int]) -> list[int]:
+    """Indices, ascending, of the hyperedges that contain none of nodes."""
+    s = frozenset(nodes)
+    return [idx for idx, edge in enumerate(graph.edges) if s.isdisjoint(edge)]
 
 
 def is_hitting_set(graph: Hypergraph, candidate: Iterable[int]) -> bool:
     """True iff every hyperedge contains at least one candidate node."""
-    s = candidate if isinstance(candidate, (set, frozenset)) else set(candidate)
-    return all(any(v in s for v in edge) for edge in graph.edges)
+    return not unhit_edges(graph, candidate)
 
 
 def is_minimal_hitting_set(graph: Hypergraph, candidate: Iterable[int]) -> bool:

@@ -6,14 +6,15 @@ Everything here is exponential in the worst case and exists for desk-scale
 instances, both as a feature (exact k*, alpha, U(k)) and as the ground truth
 that property tests compare the scalable recovery code against.  k* and U(k)
 come from one depth-first hitting-set search: the enumeration takes every
-leaf at its budget k, and k* deepens the budget one level at a time from a
-disjoint-packing lower bound until a leaf appears.  All entry points take
-OracleLimits and fail loudly instead of truncating silently.  Internally
-sets of nodes are int bitmasks, and the search runs over an edge-bitset
-view: the edges sorted stably by size, and per node an int whose bits are
-the sorted positions of its edges.  The uncovered edges are then one int,
-so a search step is a few big-int operations rather than a Python loop
-over the edges, and no native code is needed.
+leaf at its budget k, and k* deepens the budget one level at a time from
+the size of a greedy maximal matching until a leaf appears (the matching's
+edges are pairwise disjoint, so each needs a hitter of its own).  All entry
+points take OracleLimits and fail loudly instead of truncating silently.
+Internally sets of nodes are int bitmasks, and the search runs over an
+edge-bitset view: the edges sorted stably by size, and per node an int
+whose bits are the sorted positions of its edges.  The uncovered edges are
+then one int, so a search step is a few big-int operations rather than a
+Python loop over the edges, and no native code is needed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .hypergraph import (
     Edge,
@@ -33,7 +34,7 @@ from .hypergraph import (
     is_minimal_hitting_set,
     prune_to_minimal,
 )
-from .recovery import greedy_matching
+from .recovery import greedy_matching_certificate
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,6 @@ def _check_limits(graph: Hypergraph, limits: OracleLimits) -> None:
             f"instance has {graph.n} nodes, above the oracle limit "
             f"{limits.max_nodes}"
         )
-
-
-def _edge_masks(edges: Iterable[Edge]) -> list[int]:
-    return [sum(1 << v for v in e) for e in edges]
 
 
 def _bits(mask: int) -> list[int]:
@@ -248,18 +245,6 @@ def kernelize(
     )
 
 
-def _packing_lower_bound(masks: list[int]) -> int:
-    """Size of a greedy family of pairwise disjoint edges: each one needs its
-    own hitter, so no hitting set is smaller."""
-    used = 0
-    count = 0
-    for m in masks:
-        if not used & m:
-            used |= m
-            count += 1
-    return count
-
-
 # The edges sorted stably by size, and per node the int bitmask of the
 # sorted positions of its edges.
 _EdgeView = tuple[list[Edge], list[int]]
@@ -313,19 +298,21 @@ def min_hitting_set_size(
 ) -> int:
     """Exact k* by iterative deepening over the hitting-set search.
 
-    The greedy disjoint-edge packing bounds k* from below and a pruned
-    greedy matching from above.  Levels k are searched upwards from the
-    packing bound; the first with a leaf is k*, and reaching the incumbent
-    proves it optimal.  On timeout the OracleBudgetError carries the level
+    One greedy maximal matching, over the edges in graph order, gives both
+    bounds: its edges are pairwise disjoint, so their count bounds k* from
+    below, and its vertex set, pruned to a minimal hitting set, is the
+    incumbent above.  Levels k are searched upwards from the matching's
+    size; the first with a leaf is k*, and reaching the incumbent proves
+    it optimal.  On timeout the OracleBudgetError carries the level
     reached (every lower one is proved infeasible) and the incumbent.
     """
     limits = limits or OracleLimits()
     _check_limits(G, limits)
     deadline = time.monotonic() + limits.time_budget
-    start = greedy_matching(G, range(len(G.edges)))
+    start, selected = greedy_matching_certificate(G, range(len(G.edges)))
     best = len(prune_to_minimal(G, start, sorted(start)))
     view = _edge_view(G)
-    k = _packing_lower_bound(_edge_masks(G.edges))
+    k = len(selected)
     while k < best:
         try:
             if next(_hitting_leaves(view, k, deadline), None) is not None:

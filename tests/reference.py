@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use: exhaustive subset
 searches that cross-check the oracle's alpha = n - k* route, the
 list-based hitting-set search that the oracle's edge-bitset search is
-checked against, and the dense clique matrix that the matrix-free clique
-operator is checked against."""
+checked against, the per-edge incidence loop that the hypergraph's
+incidence views are checked against, and the dense clique matrix that the
+matrix-free clique operator is checked against."""
 
 import time
 from itertools import combinations
@@ -42,6 +43,21 @@ def has_independent_set(G, size, limits=None):
         if time.monotonic() > deadline:
             raise OracleBudgetError(f"independent set search at size {size} timed out")
     return False
+
+
+def incidence_reference(G):
+    """For each node, the indices of the edges containing it, built by one
+    Python pass over the edges."""
+    lists = [[] for _ in range(G.n)]
+    for idx, edge in enumerate(G.edges):
+        for v in edge:
+            lists[v].append(idx)
+    return tuple(tuple(lst) for lst in lists)
+
+
+def edge_masks(edges):
+    """Each edge as an int node mask, the input of hitting_leaves_reference."""
+    return [sum(1 << v for v in e) for e in edges]
 
 
 def hitting_leaves_reference(masks, k, deadline):

@@ -26,7 +26,13 @@ from umhs import (
     umhs,
     z_eigen_ranking,
 )
-from umhs.cli import ExperimentConfig, main, run_experiment, write_results_csv
+from umhs.cli import (
+    ExperimentConfig,
+    _build_parser,
+    main,
+    run_experiment,
+    write_results_csv,
+)
 
 SBM_SPEC = "core=5,fringe=12,r=3,p=0.6,q=0.05"
 
@@ -673,6 +679,19 @@ class TestCliOracle:
             line.split(maxsplit=1) for line in out.splitlines() if line.strip()
         )
         assert report["union_size"] == "3"
+
+    def test_parser_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_option_of_one_call_not_carried_to_the_next(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_text("a b\nb c\n")
+        _, first, _ = run_cli(["oracle", "--input", str(edges), "--k", "3"], capsys)
+        code, second, _ = run_cli(["oracle", "--input", str(edges)], capsys)
+        assert code == 0
+        assert "k 3\n" in first
+        report = dict(line.split(maxsplit=1) for line in second.splitlines())
+        assert report["k"] == report["k_star"] == "1"
 
     def test_limits_enforced(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"

@@ -1,13 +1,14 @@
 """Tests for the hypergraph data structures and set-cover primitives."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import clique_graph
+from reference import clique_graph, incidence_reference
 from umhs import (
     Hypergraph,
     LabeledHypergraph,
@@ -17,6 +18,7 @@ from umhs import (
     prune_to_minimal,
     uniform_subhypergraph,
 )
+from umhs.hypergraph import unhit_edges
 
 
 def path_graph():
@@ -81,6 +83,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="outside"):
             canonicalize(3, [[0, 3]])
 
+    def test_negative_member_after_duplicate_edge(self):
+        # the raw index counts the dropped duplicate
+        message = "edge 2 has members outside 0..2: [-1, 2]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            canonicalize(3, [[0, 1], [1, 0], [-1, 2]])
+
 
 class TestHypergraph:
     def test_direct_construction_requires_sorted_members(self):
@@ -143,7 +151,9 @@ class TestArrayViews:
             assert tuple(nodes[edge_ptr[i]:edge_ptr[i + 1]].tolist()) == edge
         indptr, indices = G.incidence_csr
         assert indptr.shape == (G.n + 1,) and indices.dtype == np.int32
-        for v, edge_ids in enumerate(G.incidence):
+        expected = incidence_reference(G)
+        assert G.incidence == expected
+        for v, edge_ids in enumerate(expected):
             assert tuple(indices[indptr[v]:indptr[v + 1]].tolist()) == edge_ids
 
     def test_views_are_read_only_and_cached(self):
@@ -231,6 +241,35 @@ class TestPruneToMinimal:
             assert any(
                 v in e and not (set(e) & pruned) - {v} for e in G.edges
             ), f"node {v} has no private edge"
+
+
+@st.composite
+def graphs_and_node_lists(draw):
+    """A graph on 0-8 nodes with 0-10 distinct edges of sizes 1-4, so
+    isolated nodes and size-1 edges occur, and a node list, maybe empty."""
+    n = draw(st.integers(0, 8))
+    edges = [] if n == 0 else draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(4, n)),
+        max_size=10,
+        unique=True,
+    ))
+    G = Hypergraph(n, tuple(tuple(sorted(e)) for e in edges))
+    return G, draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))
+
+
+class TestUnhitEdges:
+    @given(graphs_and_node_lists(), st.booleans())
+    @example((Hypergraph(0, ()), []), False)
+    @example((Hypergraph(4, ()), [1]), True)
+    @example((Hypergraph(5, ((0,), (1, 2), (3,))), []), False)
+    @example((Hypergraph(5, ((0,), (1, 2), (3,))), [2, 2, 3]), False)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_edge_loop(self, case, as_set):
+        G, nodes = case
+        s = frozenset(nodes)
+        expected = [i for i, e in enumerate(G.edges) if not any(v in s for v in e)]
+        assert unhit_edges(G, s if as_set else nodes) == expected
+        assert is_hitting_set(G, nodes) == (not expected)
 
 
 class TestLabeledHypergraph:

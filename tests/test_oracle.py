@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import umhs.oracle
 from reference import (
+    edge_masks,
     has_independent_set,
     hitting_leaves_reference,
     independence_number_exhaustive,
@@ -347,7 +348,7 @@ class TestEdgeBitsetSearch:
         G, k = case
         view = umhs.oracle._edge_view(G)
         got = list(umhs.oracle._hitting_leaves(view, k, math.inf))
-        masks = umhs.oracle._edge_masks(G.edges)
+        masks = edge_masks(G.edges)
         assert got == list(hitting_leaves_reference(masks, k, math.inf))
 
     @given(search_inputs(), st.lists(st.frozensets(st.integers(0, 25)), max_size=20))
