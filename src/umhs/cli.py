@@ -202,8 +202,15 @@ def _union_note(size: int, recall: float, core_size: int) -> str:
     return f"union size {size} core_recall {recall:g} ratio {size / core_size:g}"
 
 
+def _wall_time_note(dataset: str, stage: str, seconds: float) -> str:
+    return f"wall_time {dataset} {stage} {seconds:.6f}s"
+
+
 def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+    loading = time.perf_counter()
     graph, core, notes = _load(cfg)
+    load_time = time.perf_counter() - loading
+    evaluation_time = 0.0
     r_value = cfg.r if cfg.r is not None else graph.rank
     it = IterationParams()
     rows: list[ResultRow] = []
@@ -232,9 +239,10 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
                     f"solver {method} converged {str(ranking.converged).lower()} "
                     f"residual {ranking.residual:g} iterations {ranking.iterations}"
                 )
-        wall = time.perf_counter() - started
+        evaluated = time.perf_counter()
         precision = precision_at_core_size(ranking, core)
         ap, _ = auprc(ranking, core)
+        evaluation_time += time.perf_counter() - evaluated
         rows.append(
             ResultRow(
                 dataset=cfg.dataset,
@@ -243,12 +251,14 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
                 precision_at_core=precision,
                 auprc=ap,
                 output_size=output_size,
-                wall_time=wall,
+                wall_time=evaluated - started,
             )
         )
     notes.extend(f"skipped {reason}" for reason in skipped)
     if not rows:
         raise ValueError(f"every selected method was skipped: {'; '.join(skipped)}")
+    notes.append(_wall_time_note(cfg.dataset, "load", load_time))
+    notes.append(_wall_time_note(cfg.dataset, "evaluation", evaluation_time))
     return rows, notes
 
 
@@ -275,7 +285,7 @@ def write_results_csv(
     for note in notes:
         fh.write(f"# {note}\n")
     for row in rows:
-        fh.write(f"# wall_time {row.dataset} {row.method} {row.wall_time:.6f}s\n")
+        fh.write(f"# {_wall_time_note(row.dataset, row.method, row.wall_time)}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(
         ["dataset", "r", "method", "precision_at_core", "auprc", "output_size"]
@@ -465,8 +475,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    started = time.perf_counter()
     graph, core, notes = _load(cfg)
+    loaded = time.perf_counter()
     result = sweep(graph, core, cfg.iterations, cfg.seed)
+    swept = time.perf_counter()
     with _output(args.output) as out:
         out.write(f"# umhs {_version()} sweep seed {cfg.seed}\n")
         for note in notes:
@@ -476,6 +489,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         last = result.records[-1]
         recall = last.recovered_fraction
         out.write(f"# {_union_note(last.union_size, recall, len(core))}\n")
+        out.write(f"# {_wall_time_note(cfg.dataset, 'load', loaded - started)}\n")
+        out.write(f"# {_wall_time_note(cfg.dataset, 'sweep', swept - loaded)}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["iteration", "union_size", "recovered_fraction"])
         for rec in result.records:

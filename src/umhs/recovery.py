@@ -119,14 +119,16 @@ _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK = 4
 _FLAT_LIMIT = 1 << 31
 
-# CSR slots gathered per chunk of positions; bounds the gather's temporaries
-# to a few hundred KiB whatever the block size.
+# CSR slots gathered per chunk of positions, and first members per window of
+# the greedy's pre-filter; bounds the gathers' temporaries to a few hundred
+# KiB whatever the block size.
 _CHUNK_SLOTS = 1 << 13
 
-# Edge positions per chunk of the greedy pass.  The pass skips every position
-# whose rounds all have their edge hit at chunk start, so a short chunk keeps
-# that test fresh; with few rounds per block the slot bound alone would give
-# chunks of over a thousand positions.
+# Edge positions per chunk of the greedy pass, for the positions its
+# pre-filter leaves.  The pass re-tests them exactly at chunk start and skips
+# every position whose rounds all have their edge hit by then, so a short
+# chunk keeps that test fresh; with few rounds per block the slot bound alone
+# would give chunks of over a thousand positions.
 _CHUNK_POSITIONS = 32
 
 
@@ -232,24 +234,46 @@ def _greedy_rounds(
     """Greedy sets of B rounds from their (m, B) edge permutations.
 
     At position t every round takes its t-th edge if the edge is unhit.
-    Membership only grows, so an edge hit at the start of a chunk of
-    positions stays hit: one gather over the chunk marks the positions at
-    which some round's edge is still unhit, and only those take a step.
-    Returns the (B, n) bool membership array and the (B,) number of edges
-    each round took.
+    Membership only grows, so an edge hit at some point stays hit.  The
+    pass walks windows of positions, and at each window's start one gather
+    tests the first r_min members of every round's edge there, r_min being
+    the smallest edge size: a position whose edge is shown hit in every
+    round is skipped.  The test is exact on uniform inputs and conservative
+    otherwise.  The other positions go through _chunks in short chunks, and
+    an exact test over all their slots at each chunk's start marks the
+    positions at which some round's edge is still unhit; only those take a
+    step.  Returns the (B, n) bool membership array and the (B,) number of
+    edges each round took.
     """
-    member = np.zeros((edge_perms.shape[1], G.n), dtype=bool)
+    m, rounds = edge_perms.shape
+    member = np.zeros((rounds, G.n), dtype=bool)
     member_flat = member.reshape(-1)
-    matched = np.zeros(edge_perms.shape[1], dtype=np.int64)
+    matched = np.zeros(rounds, dtype=np.int64)
+    if not m:
+        return member, matched
     indptr, nodes = G.edge_csr
-    # every column is a permutation of all edges, so its slots total indptr[-1]
-    total = int(indptr[-1]) * edge_perms.shape[1]
-    chunks = _chunks(indptr, nodes, edge_perms, G.n, _CHUNK_POSITIONS, total)
-    for slots, heads, lens in chunks:
-        hit = np.logical_or.reduceat(member_flat[slots], heads.reshape(-1))
-        active = np.flatnonzero(~hit.reshape(heads.shape).all(axis=1))
-        for step in _rows(slots, heads, lens, active.tolist()):
-            matched += _take_unhit(member_flat, *step)
+    sizes = np.diff(indptr)
+    r_min = int(sizes.min())
+    # heads[j, e] is the j-th member of edge e, for every j < r_min
+    heads = nodes[indptr[:-1] + np.arange(r_min)[:, None]]
+    shift = np.arange(rounds, dtype=np.int32) * G.n
+    window = max(1, _CHUNK_SLOTS // (rounds * r_min))
+    for lo in range(0, m, window):
+        keys = edge_perms[lo:lo + window]
+        firsts = np.take(heads, keys, axis=1)
+        firsts += shift
+        seen = np.take(member_flat, firsts).any(axis=0)
+        live = keys[~seen.all(axis=1)]
+        if not len(live):
+            continue
+        total = int(sizes[live].sum())
+        for slots, starts, lens in _chunks(
+            indptr, nodes, live, G.n, _CHUNK_POSITIONS, total
+        ):
+            hit = np.logical_or.reduceat(member_flat[slots], starts.reshape(-1))
+            active = np.flatnonzero(~hit.reshape(starts.shape).all(axis=1))
+            for step in _rows(slots, starts, lens, active.tolist()):
+                matched += _take_unhit(member_flat, *step)
     return member, matched
 
 
@@ -292,13 +316,12 @@ def _check_rounds(G: Hypergraph, member: np.ndarray) -> None:
     assert (counts > 0).all(), "every round's set must hit every edge"
     indptr, edge_ids = G.incidence_csr
     covered = np.flatnonzero(np.diff(indptr))
-    private = np.zeros(G.n, dtype=bool)
-    for row, row_counts in zip(member, counts):
-        if covered.size:
-            private[covered] = np.logical_or.reduceat(
-                row_counts[edge_ids] == 1, indptr[covered]
-            )
-        assert not (row & ~private).any(), "every member must privately cover an edge"
+    private = np.zeros_like(member)
+    if covered.size:
+        private[:, covered] = np.logical_or.reduceat(
+            (counts == 1)[:, edge_ids], indptr[covered], axis=1
+        )
+    assert not (member & ~private).any(), "every member must privately cover an edge"
 
 
 def _lockstep_rounds(
@@ -353,10 +376,14 @@ def umhs(
     pass over edge positions runs every round's greedy step, one pass over
     node positions every round's prune, and one vectorized check (skipped
     under ``python -O``) confirms each set is a minimal hitting set.  The
-    greedy pass walks the edge positions in short chunks: a hit edge
-    stays hit, so one gather at the start of a chunk finds the
-    positions at which every round's edge is already hit, and those are
-    skipped; the others take the step in order.  The prune walks only as
+    greedy pass walks the edge positions in windows: a hit edge stays hit,
+    so one gather of the first r_min members of each round's edge (r_min
+    the smallest edge size) at a window's start finds positions at which
+    every round's edge is already hit, and those are skipped for good.
+    This pre-filter is exact on uniform inputs and conservative on others.
+    The other positions go in short chunks through an exact test of all
+    their members at each chunk's start, and only positions that still
+    hold an unhit edge take the step, in order.  The prune walks only as
     many node positions as the block's largest greedy set has members:
     each round's order is reordered members first, since only a member can
     drop.  Each round's work is linear in the total edge size, however

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -514,6 +515,39 @@ class TestCliLoader:
         )
         assert code == 0
         assert f"# input {edges} core {corefile}" in out.splitlines()
+
+
+def stage_wall_times(out):
+    """The (dataset, stage) pairs of the '# wall_time <dataset> <stage>
+    <seconds>s' lines of out."""
+    pattern = re.compile(r"# wall_time (\S+) (\S+) \d+\.\d{6}s")
+    return {
+        (match[1], match[2])
+        for match in map(pattern.fullmatch, out.splitlines())
+        if match
+    }
+
+
+def test_recover_writes_load_and_evaluation_wall_times(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b c\nc d e\n")
+    core = tmp_path / "g.core"
+    core.write_text("c\n")
+    argv = ["recover", "--input", str(edges), "--core", str(core),
+            "--iterations", "3", "--methods", "umhs,degree"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert stage_wall_times(out) == {
+        ("g", "load"), ("g", "evaluation"), ("g", "degree"), ("g", "umhs")
+    }
+    assert "wall_time" not in csv_body(out)
+
+
+def test_sweep_writes_load_and_sweep_wall_times(capsys):
+    code, out, _ = run_cli(["sweep", "--sbm", SBM_SPEC, "--iterations", "5"], capsys)
+    assert code == 0
+    assert stage_wall_times(out) == {("sbm", "load"), ("sbm", "sweep")}
+    assert "wall_time" not in csv_body(out)
 
 
 def test_recover_without_umhs_writes_no_round_sizes(capsys):

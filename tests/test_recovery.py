@@ -311,6 +311,11 @@ def chunked_hypergraphs():
 # 10**6 exceeds every m drawn, so the whole pass is one chunk.
 CHUNK_POSITIONS = st.sampled_from([1, 2, 3, 7, 31, 10**6])
 
+# Slots per chunk, which also size the greedy's pre-filter windows: 1 gives
+# windows of one position, and 64 windows that span many chunks when the
+# chunk cap is short.
+CHUNK_SLOTS = st.sampled_from([1, 7, 64, recovery._CHUNK_SLOTS])
+
 
 class TestLockstepRounds:
     @given(
@@ -363,16 +368,18 @@ class TestLockstepRounds:
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=8),
         CHUNK_POSITIONS,
+        CHUNK_SLOTS,
     )
     @settings(max_examples=100, deadline=None)
-    def test_greedy_rows_match_certificate(self, G, seed, rounds, chunk):
+    def test_greedy_rows_match_certificate(self, G, seed, rounds, chunk, slots):
         # the greedy pass alone, before any prune, round by round
         m = len(G.edges)
         edge_perms = np.empty((m, rounds), dtype=np.int32)
         for b in range(rounds):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
             edge_perms[:, b] = rng.permutation(m)
-        with mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk):
+        with mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk), \
+                mock.patch.object(recovery, "_CHUNK_SLOTS", slots):
             steps, (member, matched) = count_steps(recovery._greedy_rounds, G, edge_perms)
         for b in range(rounds):
             hit, selected = greedy_matching_certificate(G, edge_perms[:, b])
@@ -409,6 +416,26 @@ class TestLockstepRounds:
         blocks = -(-100 // recovery._block_size(G, 100))
         steps, _ = count_steps(umhs, G, UmhsConfig(iterations=100, seed=1))
         assert steps <= 0.2 * blocks * len(G.edges)
+
+    def test_prefilter_leaves_few_greedy_slots(self):
+        # recover's second bench instance at seed 1: the greedy's exact test
+        # gathers 90,300 of the 778,200 slots that its 100 rounds' edges
+        # hold; without the first-member pre-filter it gathered them all
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
+        indptr, nodes = G.edge_csr
+        chunks = recovery._chunks
+        gathered = 0
+
+        def spy(indptr, values, *args):
+            nonlocal gathered
+            for chunk in chunks(indptr, values, *args):
+                if values is nodes:
+                    gathered += len(chunk[0])
+                yield chunk
+
+        with mock.patch.object(recovery, "_chunks", spy):
+            umhs(G, UmhsConfig(iterations=100, seed=1))
+        assert 0 < gathered <= 0.2 * 100 * int(indptr[-1])
 
     def test_short_block_steps_bounded_by_position_cap(self):
         # a 2-round block: the slot bound alone would allow chunks of
@@ -482,6 +509,41 @@ class TestLockstepRounds:
             tracemalloc.stop()
         counts = member.shape[0] * len(G.edges) * 4
         assert peak < counts + 400_000, f"prune peaked at {peak} bytes"
+
+    @given(
+        mixed_hypergraphs(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.skipif(not __debug__, reason="python -O strips the check")
+    def test_check_passes_exactly_the_minimal_rows(self, G, seed, rounds):
+        member = np.random.default_rng(seed).random((rounds, G.n)) < 0.4
+        minimal = all(
+            is_minimal_hitting_set(G, np.flatnonzero(row).tolist()) for row in member
+        )
+        try:
+            recovery._check_rounds(G, member)
+        except AssertionError:
+            assert not minimal
+        else:
+            assert minimal
+
+    @pytest.mark.skipif(not __debug__, reason="python -O strips the check")
+    def test_check_rejects_a_redundant_member(self):
+        # row 1 holds node 0, whose only edge node 2 hits as well
+        member = np.zeros((2, 5), dtype=bool)
+        member[0, 2] = member[1, [0, 2]] = True
+        with pytest.raises(AssertionError, match="privately cover an edge"):
+            recovery._check_rounds(overlapping_triples(), member)
+
+    @pytest.mark.skipif(not __debug__, reason="python -O strips the check")
+    def test_check_rejects_a_row_missing_an_edge(self):
+        # row 1 misses the edge (2, 3, 4)
+        member = np.zeros((2, 5), dtype=bool)
+        member[0, 2] = member[1, 0] = True
+        with pytest.raises(AssertionError, match="hit every edge"):
+            recovery._check_rounds(overlapping_triples(), member)
 
     def test_derived_block_keeps_permutations_near_one_mib(self):
         G = random_hypergraph(300, 3, 5000, seed=0)
