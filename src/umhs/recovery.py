@@ -205,15 +205,23 @@ def _edge_counts(G: Hypergraph, member: np.ndarray) -> np.ndarray:
     member of each edge that has one.  A step that covers every edge adds
     in place (a fancy index of all m columns would copy them out and back);
     a later one gathers only the edges long enough, so one long edge costs
-    no full pass per member.
+    no full pass per member, and copies their columns out and back a few
+    hundred at a time, so the copies stay near _CHUNK_SLOTS int32 per round
+    whatever the block size.
     """
     indptr, nodes = G.edge_csr
     counts = np.zeros((member.shape[0], len(G.edges)), dtype=np.int32)
     starts, sizes = indptr[:-1], np.diff(indptr)
+    r_min = int(sizes.min(initial=G.rank))
+    span = max(1, _CHUNK_SLOTS // member.shape[0])
     for j in range(G.rank):
+        if j < r_min:
+            counts += member[:, nodes[starts + j]]
+            continue
         live = np.flatnonzero(sizes > j)
-        cols = slice(None) if len(live) == len(sizes) else live
-        counts[:, cols] += member[:, nodes[starts[cols] + j]]
+        for lo in range(0, len(live), span):
+            cols = live[lo:lo + span]
+            counts[:, cols] += member[:, nodes[starts[cols] + j]]
     return counts
 
 
@@ -277,16 +285,80 @@ def _greedy_rounds(
     return member, matched
 
 
-def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> None:
-    """Prune every row of member in place along its node order.
+def _pack_rounds(rows: np.ndarray) -> np.ndarray:
+    """np.packbits(rows, axis=0) of a (B, k) bool array: the B rounds eight
+    to a byte, as eight shifted ORs of every eighth row.  numpy packs along
+    a leading axis several times slower."""
+    packed = np.zeros((-(-len(rows) // 8), rows.shape[1]), dtype=np.uint8)
+    for bit in range(8):
+        part = rows[bit::8].view(np.uint8)
+        packed[:len(part)] |= part << (7 - bit)
+    return packed
 
-    node_perms is (T, B): column b lists round b's greedy members in its
-    removal order, padded with nodes that lie in some edge but are no
-    members (see _members_first).  At position t every round drops its t-th
-    node if it is a member and every edge containing it is hit at least
-    twice; a non-member never drops, so the padding changes nothing.
+
+def _reduce_segments(
+    ufunc: np.ufunc, bits: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """ufunc (bitwise or/and) over each CSR segment of packed bit columns.
+
+    bits is a (R, k) uint8 array, B rounds packed eight to a byte along axis
+    0 (_pack_rounds).  Column s of the (R, len(indptr) - 1) result reduces the
+    columns indices[indptr[s]:indptr[s + 1]] of bits; an empty segment reads
+    0.  The gather moves R = ceil(B / 8) bytes per slot.
     """
-    counts = _edge_counts(G, member)
+    out = np.zeros((len(bits), len(indptr) - 1), dtype=np.uint8)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if nonempty.size:
+        out[:, nonempty] = ufunc.reduceat(
+            np.take(bits, indices, axis=1), indptr[nonempty], axis=1
+        )
+    return out
+
+
+def _lone_members(G: Hypergraph, counts: np.ndarray) -> np.ndarray:
+    """Packed (ceil(B / 8), n) bits: node v's bit of round b is set if some
+    edge at v holds exactly one member of round b's set, counts being the
+    (B, m) hits of _edge_counts.  A member with its bit set privately covers
+    that edge."""
+    return _reduce_segments(np.bitwise_or, _pack_rounds(counts == 1), *G.incidence_csr)
+
+
+def _settle_rounds(
+    G: Hypergraph, member: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n) bool (keep, drop) masks of the members of every row of
+    member whose fate no removal order can change, counts being its (B, m)
+    hits.
+
+    A keeper is the only member of some edge: counts only fall, so it never
+    drops.  Call an edge held if it contains a keeper; a non-keeper member
+    whose edges are all held always drops, since at its turn each of its
+    edges still holds the keeper and the member itself.  All three steps
+    work on the rounds packed eight to a byte.
+    """
+    members = _pack_rounds(member)
+    keep = members & _lone_members(G, counts)
+    held = _reduce_segments(np.bitwise_or, keep, *G.edge_csr)
+    drop = members & ~keep & _reduce_segments(np.bitwise_and, held, *G.incidence_csr)
+    rows = len(member)
+    return (
+        np.unpackbits(keep, axis=0, count=rows).view(bool),
+        np.unpackbits(drop, axis=0, count=rows).view(bool),
+    )
+
+
+def _walk_rounds(
+    G: Hypergraph, member: np.ndarray, counts: np.ndarray, node_perms: np.ndarray
+) -> None:
+    """Walk every row of member in place along its node order, one Python
+    step per position, keeping counts, the (B, m) hits of each row's set on
+    each edge, up to date.
+
+    node_perms is (T, B): column b lists round b's nodes in its removal
+    order.  At position t every round drops its t-th node if it is a member
+    and every edge containing it is hit at least twice; a non-member never
+    drops, so padding with non-members changes nothing.
+    """
     counts_flat = counts.reshape(-1)
     member_flat = member.reshape(-1)
     row_n = np.arange(member.shape[0], dtype=np.int32) * G.n
@@ -299,14 +371,40 @@ def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> 
         counts_flat[slots[np.repeat(drop, lens)]] -= 1
 
 
+def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> None:
+    """Prune every row of member in place along its node order.
+
+    node_perms is (T, B): column b lists round b's greedy members in its
+    removal order, possibly mixed with nodes that lie in some edge but are
+    no members.  Each row ends as _walk_rounds over its whole order would
+    leave it, but a settle first decides, in whole-array steps, every member
+    that any order keeps or drops (_settle_rounds).  A keeper is the only
+    member of some edge and never drops; a member whose every edge holds a
+    keeper always drops, and all of these drop at once.  They lie only in
+    held edges, where every present member's count stays at least 2, so
+    dropping them changes no undecided member's test.  For the same reason
+    the walk may use the counts from before the settle, stale only on held
+    edges.  Only the undecided members are walked, moved to the front of
+    each column (_members_first), and no walk is taken when no round has
+    any.
+    """
+    counts = _edge_counts(G, member)
+    keep, drop = _settle_rounds(G, member, counts)
+    member &= ~drop
+    undecided = member & ~keep
+    width = undecided.sum(axis=1)
+    if width.any():
+        _walk_rounds(G, member, counts, _members_first(undecided, node_perms, width))
+
+
 def _members_first(
-    member: np.ndarray, node_perms: np.ndarray, greedy: np.ndarray
+    member: np.ndarray, node_perms: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
-    """The first max(greedy) rows of node_perms after moving, in each column
-    b, round b's members (row b of member, greedy[b] of them) ahead of its
+    """The first max(sizes) rows of node_perms after moving, in each column
+    b, round b's members (row b of member, sizes[b] of them) ahead of its
     other nodes; both groups keep the column's order."""
     inside = member[np.arange(node_perms.shape[1]), node_perms]
-    order = np.argsort(~inside, axis=0, kind="stable")[:int(greedy.max())]
+    order = np.argsort(~inside, axis=0, kind="stable")[:int(sizes.max())]
     return np.take_along_axis(node_perms, order, axis=0)
 
 
@@ -314,14 +412,10 @@ def _check_rounds(G: Hypergraph, member: np.ndarray) -> None:
     """Assert that every row of member is a minimal hitting set of G."""
     counts = _edge_counts(G, member)
     assert (counts > 0).all(), "every round's set must hit every edge"
-    indptr, edge_ids = G.incidence_csr
-    covered = np.flatnonzero(np.diff(indptr))
-    private = np.zeros_like(member)
-    if covered.size:
-        private[:, covered] = np.logical_or.reduceat(
-            (counts == 1)[:, edge_ids], indptr[covered], axis=1
-        )
-    assert not (member & ~private).any(), "every member must privately cover an edge"
+    lone = _lone_members(G, counts)
+    assert not (_pack_rounds(member) & ~lone).any(), (
+        "every member must privately cover an edge"
+    )
 
 
 def _lockstep_rounds(
@@ -333,11 +427,12 @@ def _lockstep_rounds(
     prune_to_minimal(greedy_matching(G, edge_perm), node_perm filtered to
     the greedy set), with both permutations drawn from the round's own
     stream in that order.  Nodes in no edge never join a greedy set, so
-    they are left out of the node orders.  The prune walks only the first
-    max(greedy sizes) positions of the orders with each round's members
-    moved to the front: a round's rows past its own greedy size hold
-    non-members, which never drop.  Row b of the returned (hi - lo, 3) int
-    array holds that round's matching, greedy and pruned sizes.
+    they are left out of the node orders.  The prune settles every member
+    whose fate no removal order can change (one that is alone in some edge
+    stays; one whose every edge holds such a member goes) and walks the
+    orders only over the members left undecided, moved to the front.  Row b
+    of the returned (hi - lo, 3) int array holds that round's matching,
+    greedy and pruned sizes.
     """
     n, m, rounds = G.n, len(G.edges), hi - lo
     covered = np.diff(G.incidence_csr[0]) > 0
@@ -353,7 +448,6 @@ def _lockstep_rounds(
     member, matched = _greedy_rounds(G, edge_perms)
     del edge_perms
     greedy = member.sum(axis=1)
-    node_perms = _members_first(member, node_perms, greedy)
     _prune_rounds(G, member, node_perms)
     if __debug__:
         _check_rounds(G, member)
@@ -373,8 +467,8 @@ def umhs(
     is pruned to a minimal hitting set before joining the union.
 
     Rounds run in lockstep blocks over the hypergraph's CSR views: one
-    pass over edge positions runs every round's greedy step, one pass over
-    node positions every round's prune, and one vectorized check (skipped
+    pass over edge positions runs every round's greedy step, one prune
+    runs every round's removals, and one vectorized check (skipped
     under ``python -O``) confirms each set is a minimal hitting set.  The
     greedy pass walks the edge positions in windows: a hit edge stays hit,
     so one gather of the first r_min members of each round's edge (r_min
@@ -383,14 +477,21 @@ def umhs(
     This pre-filter is exact on uniform inputs and conservative on others.
     The other positions go in short chunks through an exact test of all
     their members at each chunk's start, and only positions that still
-    hold an unhit edge take the step, in order.  The prune walks only as
-    many node positions as the block's largest greedy set has members:
-    each round's order is reordered members first, since only a member can
-    drop.  Each round's work is linear in the total edge size, however
-    unevenly the degrees and edge sizes are spread.  The block size is
-    derived from the instance so that a block's permutations take about
-    1 MiB, but a block holds at least four rounds when that many are asked
-    for.  :func:`greedy_matching_certificate` and
+    hold an unhit edge take the step, in order.  The prune first settles,
+    in whole-array steps over the rounds packed eight to a byte, every
+    member whose fate no removal order can change: a member alone in some
+    edge is kept, since counts only fall, and a member whose every edge
+    holds such a keeper is dropped, since at its turn each of its edges
+    still holds the keeper and itself.  Those drops touch only edges that
+    stay hit twice, so they change no other member's test.  Only the
+    members left undecided then take Python steps, walked members first in
+    each round's order; when the settle decides every member, as it often
+    does with a planted core, no walk is taken.  Each round's work is
+    linear in the total edge size, however unevenly the degrees and edge
+    sizes are spread.  The block size is derived from the instance so that
+    a block's permutations take about 1 MiB, but a block holds at least
+    four rounds when that many are asked for.
+    :func:`greedy_matching_certificate` and
     :func:`~umhs.hypergraph.prune_to_minimal` remain the single-round
     reference that these rounds reproduce exactly.
 

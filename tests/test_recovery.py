@@ -259,6 +259,34 @@ def prune_inputs(G, seed, lo, hi):
     return seen[0]
 
 
+def settle_reference(G, hit):
+    """(keep, drop) of the prune's settle for one greedy set, member by
+    member: the members alone in some edge, and the other members whose
+    every edge holds one of those."""
+    keep = {v for e in G.edges if len(hit.intersection(e)) == 1 for v in e if v in hit}
+    drop = {
+        v for v in hit - keep
+        if all(keep.intersection(G.edges[i]) for i in G.incidence[v])
+    }
+    return keep, drop
+
+
+def count_walked(fn, *args):
+    """fn(*args) and the number of node positions the prune's walk took."""
+    walked = 0
+    steps = recovery._steps
+
+    def spy(*step_args):
+        nonlocal walked
+        for step in steps(*step_args):
+            walked += 1
+            yield step
+
+    with mock.patch.object(recovery, "_steps", spy):
+        out = fn(*args)
+    return walked, out
+
+
 def count_steps(fn, *args):
     """fn(*args) and the number of greedy steps it took."""
     with mock.patch.object(recovery, "_take_unhit", wraps=recovery._take_unhit) as spy:
@@ -476,31 +504,79 @@ class TestLockstepRounds:
         recovery._prune_rounds(G, member, compact)
         assert (member == full).all()
 
-    def test_prune_walks_only_the_widest_greedy_set(self):
-        # recover's second bench instance at seed 1: each block's prune
-        # walks max(greedy sizes) positions (120), not all 490 covered nodes
+    @given(
+        chunked_hypergraphs(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_settle_agrees_with_every_removal_order(self, G, seed, rounds):
+        # each member the settle keeps survives, and each it drops goes,
+        # whatever order prune_to_minimal takes the round's greedy set in
+        rng = np.random.default_rng(seed)
+        edge_perms = np.array(
+            [rng.permutation(len(G.edges)) for _ in range(rounds)], dtype=np.int32
+        ).T
+        member, _ = recovery._greedy_rounds(G, edge_perms)
+        keep, drop = recovery._settle_rounds(G, member, recovery._edge_counts(G, member))
+        assert keep.shape == drop.shape == member.shape
+        assert not (keep & drop).any()
+        for b in range(rounds):
+            hit = np.flatnonzero(member[b]).tolist()
+            kept = set(np.flatnonzero(keep[b]).tolist())
+            dropped = set(np.flatnonzero(drop[b]).tolist())
+            assert (kept, dropped) == settle_reference(G, set(hit)), f"round {b}"
+            for _ in range(5):
+                minimal = prune_to_minimal(G, hit, rng.permutation(hit).tolist())
+                assert kept <= minimal, f"round {b}"
+                assert not dropped & minimal, f"round {b}"
+        # the rule is its own fixed point: after its drops it decides nothing new
+        settled = member & ~drop
+        again = recovery._settle_rounds(G, settled, recovery._edge_counts(G, settled))
+        assert (again[0] == keep).all()
+        assert not again[1].any()
+
+    def test_settle_leaves_no_walk_on_the_recover_shape(self):
+        # recover's second bench instance at seed 1: every member each round
+        # keeps is alone in some edge of its greedy set, and every other
+        # member's edges all hold such a member, so the prune walks no
+        # position; before the settle it walked 120
         G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
-        covered = int(np.count_nonzero(np.diff(G.incidence_csr[0])))
-        with mock.patch.object(
-            recovery, "_prune_rounds", wraps=recovery._prune_rounds
-        ) as spy:
-            result = umhs(G, UmhsConfig(iterations=100, seed=1))
+        walked, result = count_walked(umhs, G, UmhsConfig(iterations=100, seed=1))
+        assert walked == 0
+        assert sum(result.rounds.pruned) < sum(result.rounds.greedy)
+
+    def test_prune_walks_only_the_undecided_members(self):
+        # random_hypergraph(300, 3, 5000, 0) at seed 1, where the walk still
+        # runs: the settle decides about half the members, and each block's
+        # walk takes max(undecided per round) positions (189 and 198), not
+        # max(greedy) (293 and 292)
+        G = random_hypergraph(300, 3, 5000, seed=0)
         block = recovery._block_size(G, 100)
-        greedy = result.rounds.greedy
-        widths = [call.args[2].shape for call in spy.call_args_list]
-        assert widths == [
-            (max(greedy[lo:lo + block]), len(greedy[lo:lo + block]))
-            for lo in range(0, 100, block)
-        ]
-        assert all(width <= 0.25 * covered for width, _ in widths)
+        for lo in range(1, 101, block):
+            member, node_perms = prune_inputs(G, 1, lo, min(lo + block, 101))
+            greedy = member.sum(axis=1)
+            undecided = []
+            for row in member:
+                hit = set(np.flatnonzero(row).tolist())
+                keep, drop = settle_reference(G, hit)
+                undecided.append(len(hit - keep - drop))
+            with mock.patch.object(
+                recovery, "_walk_rounds", wraps=recovery._walk_rounds
+            ) as spy:
+                recovery._prune_rounds(G, member, node_perms)
+            widths = [call.args[3].shape for call in spy.call_args_list]
+            assert widths == [(max(undecided), len(member))], f"block at {lo}"
+            assert max(undecided) <= max(greedy), f"block at {lo}"
 
     def test_prune_chunk_temporaries_bounded(self):
-        # chunks are sized from the degrees of the members the prune walks:
-        # sized from the graph's mean degree, the members' chunks took
-        # ~670 kB of temporaries here instead of ~290 kB, beyond the
-        # (B, m) int32 hit counts that the prune needs anyway
-        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
-        member, node_perms = prune_inputs(G, 1, 1, 101)
+        # chunks are sized from the degrees of the members the prune walks,
+        # here the first 52-round block of random_hypergraph(300, 3, 5000, 0)
+        # at seed 1, where the walk still runs: the prune's temporaries stay
+        # within 400 kB beyond the (B, m) int32 hit counts that it needs
+        # anyway
+        G = random_hypergraph(300, 3, 5000, seed=0)
+        member, node_perms = prune_inputs(G, 1, 1, 1 + recovery._block_size(G, 100))
         tracemalloc.start()
         try:
             recovery._prune_rounds(G, member, node_perms)
@@ -509,6 +585,22 @@ class TestLockstepRounds:
             tracemalloc.stop()
         counts = member.shape[0] * len(G.edges) * 4
         assert peak < counts + 400_000, f"prune peaked at {peak} bytes"
+
+    def test_settle_temporaries_bounded(self):
+        # recover's second bench instance at seed 1, its one 100-round block:
+        # the settle's three gathers move 13 packed bytes per CSR slot, and
+        # its largest temporary is the (B, m) bool of the edges hit once
+        # (259 kB); unpacked (B, sum |e|) bool gathers took 778 kB each
+        G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
+        member, _ = prune_inputs(G, 1, 1, 101)
+        counts = recovery._edge_counts(G, member)
+        tracemalloc.start()
+        try:
+            recovery._settle_rounds(G, member, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000, f"settle peaked at {peak} bytes"
 
     @given(
         mixed_hypergraphs(),
