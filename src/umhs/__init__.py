@@ -20,11 +20,8 @@ from .baselines import (
 )
 from .evaluation import (
     PrCurve,
-    SweepRecord,
-    SweepResult,
     auprc,
     precision_at_core_size,
-    sweep,
 )
 from .generators import (
     SbmParams,
@@ -63,7 +60,6 @@ from .recovery import (
     RoundSizes,
     UmhsConfig,
     UmhsResult,
-    greedy_matching,
     greedy_matching_certificate,
     rank_nodes,
     umhs,
@@ -80,7 +76,6 @@ __all__ = [
     "UmhsConfig",
     "UmhsResult",
     "RoundSizes",
-    "greedy_matching",
     "greedy_matching_certificate",
     "umhs",
     "rank_nodes",
@@ -113,9 +108,6 @@ __all__ = [
     "borgatti_everett_ranking",
     "kcore_ranking",
     "PrCurve",
-    "SweepRecord",
-    "SweepResult",
     "precision_at_core_size",
     "auprc",
-    "sweep",
 ]

@@ -41,7 +41,7 @@ from .dataio import (
     write_core,
     write_hypergraph,
 )
-from .evaluation import auprc, precision_at_core_size, sweep
+from .evaluation import auprc, precision_at_core_size
 from .generators import (
     SbmParams,
     TreeFamilyParams,
@@ -57,7 +57,7 @@ from .oracle import (
     min_hitting_set_size,
     union_minimal,
 )
-from .recovery import RoundSizes, UmhsConfig, rank_nodes, umhs
+from .recovery import UmhsConfig, UmhsResult, rank_nodes, umhs
 
 ALL_METHODS = (
     "umhs",
@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("at least one method must be selected")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(
@@ -186,20 +188,22 @@ def _load(cfg: ExperimentConfig) -> tuple[Hypergraph, frozenset[int], list[str]]
     return graph, core, notes
 
 
-def _rounds_note(rounds: RoundSizes) -> str:
-    """The min/median/max of each per-round size of a UMHS run."""
-    parts = ["rounds min/median/max"]
+def _umhs_notes(result: UmhsResult, core: frozenset[int]) -> list[str]:
+    """The '#' lines of a UMHS run: its saturation round, the min/median/max
+    of each per-round size, and the union's size, the share of the core it
+    holds and its size relative to the core's."""
+    rounds = ["rounds min/median/max"]
     for name in ("matching", "greedy", "pruned", "new"):
-        sizes = getattr(rounds, name)
+        sizes = getattr(result.rounds, name)
         mid = f"{median(sizes):.1f}".removesuffix(".0")
-        parts.append(f"{name} {min(sizes)}/{mid}/{max(sizes)}")
-    return " ".join(parts)
-
-
-def _union_note(size: int, recall: float, core_size: int) -> str:
-    """The UMHS union's size, the share of the core it holds, and its size
-    relative to the core's."""
-    return f"union size {size} core_recall {recall:g} ratio {size / core_size:g}"
+        rounds.append(f"{name} {min(sizes)}/{mid}/{max(sizes)}")
+    size = len(result.union_set)
+    recall = len(result.union_set & core) / len(core)
+    return [
+        f"saturation_round {result.saturation_round}",
+        " ".join(rounds),
+        f"union size {size} core_recall {recall:g} ratio {size / len(core):g}",
+    ]
 
 
 def _wall_time_note(dataset: str, stage: str, seconds: float) -> str:
@@ -221,10 +225,7 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             result = umhs(graph, UmhsConfig(iterations=cfg.iterations, seed=cfg.seed))
             ranking = rank_nodes(graph, result.union_set)
             output_size = len(result.union_set)
-            notes.append(f"saturation_round {result.saturation_round}")
-            notes.append(_rounds_note(result.rounds))
-            recall = len(result.union_set & core) / len(core)
-            notes.append(_union_note(output_size, recall, len(core)))
+            notes.extend(_umhs_notes(result, core))
         else:
             try:
                 ranking = _BASELINE_FNS[method](graph, it)
@@ -478,25 +479,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     graph, core, notes = _load(cfg)
     loaded = time.perf_counter()
-    result = sweep(graph, core, cfg.iterations, cfg.seed)
+    result = umhs(
+        graph, UmhsConfig(cfg.iterations, cfg.seed, record_trajectory=True), core
+    )
     swept = time.perf_counter()
+    notes.extend(_umhs_notes(result, core))
+    notes.append(_wall_time_note(cfg.dataset, "load", loaded - started))
+    notes.append(_wall_time_note(cfg.dataset, "sweep", swept - loaded))
     with _output(args.output) as out:
         out.write(f"# umhs {_version()} sweep seed {cfg.seed}\n")
         for note in notes:
             out.write(f"# {note}\n")
-        out.write(f"# saturation_round {result.saturation_round}\n")
-        out.write(f"# {_rounds_note(result.rounds)}\n")
-        last = result.records[-1]
-        recall = last.recovered_fraction
-        out.write(f"# {_union_note(last.union_size, recall, len(core))}\n")
-        out.write(f"# {_wall_time_note(cfg.dataset, 'load', loaded - started)}\n")
-        out.write(f"# {_wall_time_note(cfg.dataset, 'sweep', swept - loaded)}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["iteration", "union_size", "recovered_fraction"])
-        for rec in result.records:
-            writer.writerow(
-                [rec.iteration, rec.union_size, f"{rec.recovered_fraction:.12g}"]
-            )
+        for i, (size, overlap) in enumerate(result.trajectory, start=1):
+            writer.writerow([i, size, f"{overlap / len(core):.12g}"])
     return 0
 
 

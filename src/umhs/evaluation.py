@@ -1,5 +1,5 @@
-"""Scoring rankings against a planted core: precision at core size, the
-precision-recall curve with its average precision, and UMHS iteration sweeps.
+"""Scoring rankings against a planted core: precision at core size and the
+precision-recall curve with its average precision.
 
 AUPRC here is average precision, the stepwise integral of the PR curve.
 The harness reports AUPRC rather than AUROC throughout because the core is
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .baselines import Ranking
-from .hypergraph import Hypergraph, node_set
-from .recovery import RoundSizes, UmhsConfig, umhs
+from .hypergraph import node_set
 
 
 @dataclass(frozen=True)
@@ -22,23 +21,6 @@ class PrCurve:
 
     points: tuple[tuple[float, float], ...]
     positives: int
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    iteration: int
-    union_size: int
-    recovered_fraction: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-iteration records of one UMHS run, and the run's saturation round
-    and per-round sizes (see :class:`~umhs.recovery.UmhsResult`)."""
-
-    records: tuple[SweepRecord, ...]
-    saturation_round: int
-    rounds: RoundSizes
 
 
 def _core_set(n: int, core: Iterable[int]) -> frozenset[int]:
@@ -72,24 +54,3 @@ def auprc(ranking: Ranking, core: Iterable[int]) -> tuple[float, PrCurve]:
             total += hits / i
         points.append((hits / len(s), hits / i))
     return total / len(s), PrCurve(points=tuple(points), positives=len(s))
-
-
-def sweep(G: Hypergraph, core: Iterable[int], n_max: int, seed: int) -> SweepResult:
-    """Per-iteration union size and recovered core fraction of one UMHS run."""
-    s = _core_set(G.n, core)
-    cfg = UmhsConfig(iterations=n_max, seed=seed, record_trajectory=True)
-    result = umhs(G, cfg, core=s)
-    assert result.trajectory is not None
-    records = tuple(
-        SweepRecord(
-            iteration=i,
-            union_size=size,
-            recovered_fraction=(overlap or 0) / len(s),
-        )
-        for i, (size, overlap) in enumerate(result.trajectory, start=1)
-    )
-    return SweepResult(
-        records=records,
-        saturation_round=result.saturation_round,
-        rounds=result.rounds,
-    )

@@ -220,6 +220,8 @@ def consistent_labeling_hitting_set(params: TreeFamilyParams, seed: int) -> Hitt
     to every sibling group.  The returned set has size (r-1)(b-1)+b and is
     a minimal hitting set of the tree family.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     labels: dict[int, int] = {}
     for group in _sibling_groups(params):
@@ -241,6 +243,8 @@ def random_hypergraph(n: int, r_max: int, edge_count: int, seed: int) -> Hypergr
         raise ValueError(f"r_max must be >= 2, got {r_max}")
     if edge_count < 0:
         raise ValueError(f"edge_count must be >= 0, got {edge_count}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     top = min(r_max, n)
     available = sum(math.comb(n, s) for s in range(2, top + 1))
     if edge_count > available:

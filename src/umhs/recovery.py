@@ -104,11 +104,6 @@ def greedy_matching_certificate(
     return result, tuple(selected)
 
 
-def greedy_matching(G: Hypergraph, edge_order: Sequence[int]) -> HittingSet:
-    """Greedy maximal-matching hitting set over the given edge order."""
-    return greedy_matching_certificate(G, edge_order)[0]
-
-
 # Rounds per lockstep block: keeps each int32 permutation block near 1 MiB.
 # Sizing by max(m, n) rather than m alone also bounds the node-permutation
 # block.  On large instances a block still holds _MIN_BLOCK rounds, so that
@@ -424,15 +419,14 @@ def _lockstep_rounds(
     """The minimal hitting sets of rounds lo..hi-1, computed in lockstep.
 
     Row b of the returned (hi - lo, n) bool array is the set of round lo + b:
-    prune_to_minimal(greedy_matching(G, edge_perm), node_perm filtered to
-    the greedy set), with both permutations drawn from the round's own
-    stream in that order.  Nodes in no edge never join a greedy set, so
-    they are left out of the node orders.  The prune settles every member
-    whose fate no removal order can change (one that is alone in some edge
-    stays; one whose every edge holds such a member goes) and walks the
-    orders only over the members left undecided, moved to the front.  Row b
-    of the returned (hi - lo, 3) int array holds that round's matching,
-    greedy and pruned sizes.
+    prune_to_minimal(greedy_matching_certificate(G, edge_perm)[0],
+    node_perm filtered to the greedy set), with both permutations drawn from
+    the round's own stream in that order.  Nodes in no edge never join a
+    greedy set, so they are left out of the node orders.  The greedy pass is
+    _greedy_rounds, the prune _prune_rounds, and _check_rounds (skipped
+    under ``python -O``) asserts that every set is a minimal hitting set.
+    Row b of the returned (hi - lo, 3) int array holds that round's
+    matching, greedy and pruned sizes.
     """
     n, m, rounds = G.n, len(G.edges), hi - lo
     covered = np.diff(G.incidence_csr[0]) > 0
@@ -463,37 +457,13 @@ def umhs(
 
     Round i draws its edge and node permutations from a stream keyed by
     (cfg.seed, i), so the result is identical however the rounds are
-    scheduled; the union itself is commutative.  Each round's greedy output
-    is pruned to a minimal hitting set before joining the union.
+    scheduled; the union itself is commutative.  Each round's greedy set is
+    pruned to a minimal hitting set before joining the union.
 
-    Rounds run in lockstep blocks over the hypergraph's CSR views: one
-    pass over edge positions runs every round's greedy step, one prune
-    runs every round's removals, and one vectorized check (skipped
-    under ``python -O``) confirms each set is a minimal hitting set.  The
-    greedy pass walks the edge positions in windows: a hit edge stays hit,
-    so one gather of the first r_min members of each round's edge (r_min
-    the smallest edge size) at a window's start finds positions at which
-    every round's edge is already hit, and those are skipped for good.
-    This pre-filter is exact on uniform inputs and conservative on others.
-    The other positions go in short chunks through an exact test of all
-    their members at each chunk's start, and only positions that still
-    hold an unhit edge take the step, in order.  The prune first settles,
-    in whole-array steps over the rounds packed eight to a byte, every
-    member whose fate no removal order can change: a member alone in some
-    edge is kept, since counts only fall, and a member whose every edge
-    holds such a keeper is dropped, since at its turn each of its edges
-    still holds the keeper and itself.  Those drops touch only edges that
-    stay hit twice, so they change no other member's test.  Only the
-    members left undecided then take Python steps, walked members first in
-    each round's order; when the settle decides every member, as it often
-    does with a planted core, no walk is taken.  Each round's work is
-    linear in the total edge size, however unevenly the degrees and edge
-    sizes are spread.  The block size is derived from the instance so that
-    a block's permutations take about 1 MiB, but a block holds at least
-    four rounds when that many are asked for.
-    :func:`greedy_matching_certificate` and
-    :func:`~umhs.hypergraph.prune_to_minimal` remain the single-round
-    reference that these rounds reproduce exactly.
+    The rounds run in lockstep blocks (_lockstep_rounds) of a size derived
+    from the instance (_BLOCK_BYTES).  Every round's set equals the
+    single-round reference, greedy_matching_certificate over its edge order
+    and then prune_to_minimal over its node order.
 
     Raises:
         ValueError: if a core member lies outside 0..n-1.

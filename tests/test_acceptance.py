@@ -28,7 +28,6 @@ from umhs import (
     consistent_labeling_hitting_set,
     degree_ranking,
     enumerate_minimal_hitting_sets,
-    greedy_matching,
     greedy_matching_certificate,
     independence_number,
     independence_threshold,
@@ -42,7 +41,6 @@ from umhs import (
     rank_nodes,
     sbm_hypergraph,
     sigma,
-    sweep,
     tree_family,
     umhs,
     union_minimal,
@@ -137,7 +135,8 @@ def test_c02_pairwise_overlap_corollary():
         r = G.rank
         rng = np.random.default_rng(seed)
         outputs = [
-            greedy_matching(G, rng.permutation(len(G.edges))) for _ in range(10)
+            greedy_matching_certificate(G, rng.permutation(len(G.edges)))[0]
+            for _ in range(10)
         ]
         for s1, s2 in itertools.combinations(outputs, 2):
             # exact rational comparison: |S1 & S2| >= max(|S1|,|S2|) / r^2
@@ -167,7 +166,7 @@ def test_c03_overlap_lemma_vs_oracle(rank3_oracle_instances):
     started = time.perf_counter()
     checked = 0
     for G, k_star in rank3_oracle_instances:
-        s = greedy_matching(G, range(len(G.edges)))
+        s = greedy_matching_certificate(G, range(len(G.edges)))[0]
         r = G.rank
         for b in enumerate_minimal_hitting_sets(G, 2 * k_star, LIMITS):
             # exact rational form of |B & S| / |B| >= 1 / (2r)
@@ -342,9 +341,10 @@ def test_c11_iteration_leveling(recovery_instances):
     started = time.perf_counter()
     leveled = 0
     for lab, params in zip(recovery_instances, SBM_RECOVERY):
-        records = sweep(lab.graph, lab.core, 200, seed=params.seed).records
-        sizes = {rec.iteration: rec.union_size for rec in records}
-        ordered = [rec.union_size for rec in records]
+        cfg = UmhsConfig(iterations=200, seed=params.seed, record_trajectory=True)
+        trajectory = umhs(lab.graph, cfg, core=lab.core).trajectory
+        ordered = [size for size, _ in trajectory]
+        sizes = dict(enumerate(ordered, start=1))
         assert ordered == sorted(ordered), "union size must be non-decreasing"
         if sizes[200] - sizes[150] <= 0.05 * sizes[150]:
             leveled += 1

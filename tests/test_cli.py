@@ -23,10 +23,13 @@ from umhs import (
     clique_eigen_ranking,
     h_eigen_ranking,
     kernelize,
+    random_hypergraph,
     sbm_hypergraph,
     umhs,
+    uniform_subhypergraph,
     z_eigen_ranking,
 )
+from umhs.dataio import read_hypergraph, write_core, write_hypergraph
 from umhs.cli import (
     ExperimentConfig,
     _build_parser,
@@ -75,6 +78,10 @@ class TestExperimentConfig:
             ExperimentConfig(
                 dataset="d", sbm=SbmParams(3, 3, 2, 0.5, 0.5), methods=("pagerank",)
             )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ExperimentConfig(dataset="d", input_path="x", core_path="y", seed=-1)
 
     def test_repeated_method_rejected(self):
         with pytest.raises(ValueError, match="repeated.*umhs"):
@@ -761,6 +768,18 @@ class TestCliOracle:
         ]
 
 
+def sweep_instance(tmp_path, graph, core_seed):
+    """graph written as an --input file, and as its --core file the set that
+    one umhs round at core_seed finds on the graph the file reads back as.
+    Returns the core and the sweep options naming both files."""
+    edges, core_file = tmp_path / "g.edges", tmp_path / "g.core"
+    write_hypergraph(graph, edges)
+    read, labels = read_hypergraph(edges)
+    core = umhs(read, UmhsConfig(iterations=1, seed=core_seed)).union_set
+    write_core(core, core_file, list(labels))
+    return core, ["--input", str(edges), "--core", str(core_file)]
+
+
 class TestCliSweep:
     @pytest.mark.parametrize("iterations, lines", [(20, 0), (20000, 1)])
     def test_closed_pipe_stops_quietly(self, iterations, lines):
@@ -797,6 +816,98 @@ class TestCliSweep:
         assert set(rows[0]) == {"iteration", "union_size", "recovered_fraction"}
         sizes = [int(row["union_size"]) for row in rows]
         assert sizes == sorted(sizes)
+
+    def test_single_iteration_row(self, tmp_path, capsys):
+        graph = random_hypergraph(10, 3, 9, seed=2)
+        core, files = sweep_instance(tmp_path, graph, core_seed=0)
+        code, out, _ = run_cli(["sweep", *files, "--iterations", "1"], capsys)
+        assert code == 0
+        assert csv_body(out).splitlines()[1:] == [f"1,{len(core)},1"]
+
+    def test_rows_count_the_iterations_and_never_shrink(self, tmp_path, capsys):
+        graph = random_hypergraph(12, 3, 14, seed=5)
+        _, files = sweep_instance(tmp_path, graph, core_seed=99)
+        argv = ["sweep", *files, "--iterations", "40", "--seed", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = parse_rows(out)
+        assert [int(row["iteration"]) for row in rows] == list(range(1, 41))
+        sizes = [int(row["union_size"]) for row in rows]
+        assert sizes == sorted(sizes)
+        fractions = [float(row["recovered_fraction"]) for row in rows]
+        assert fractions == sorted(fractions)
+        assert all(0.0 <= fraction <= 1.0 for fraction in fractions)
+
+    def test_deterministic(self, tmp_path, capsys):
+        graph = random_hypergraph(10, 3, 10, seed=7)
+        _, files = sweep_instance(tmp_path, graph, core_seed=8)
+        argv = ["sweep", *files, "--iterations", "10", "--seed", "4"]
+        first = run_cli(argv, capsys)
+        second = run_cli(argv, capsys)
+        assert first[0] == second[0] == 0
+        assert without_wall_times(first[1]) == without_wall_times(second[1])
+
+    @pytest.mark.parametrize("source", ["sbm", "input-r"])
+    def test_rows_are_the_umhs_trajectory(self, source, tmp_path, capsys):
+        if source == "sbm":
+            labeled = sbm_hypergraph(SbmParams(5, 12, 3, 0.6, 0.05, seed=4))
+            graph, core = labeled.graph, labeled.core
+            argv = ["--sbm", SBM_SPEC]
+        else:
+            # edges of sizes 2 to 4; the core hits the 3-uniform part only
+            edges = tmp_path / "mixed.edges"
+            write_hypergraph(random_hypergraph(14, 4, 40, seed=1), edges)
+            mixed, labels = read_hypergraph(edges)
+            graph, remap = uniform_subhypergraph(mixed, 3)
+            core = umhs(graph, UmhsConfig(iterations=1, seed=7)).union_set
+            kept = {v for v, new in remap.items() if new in core}
+            write_core(kept, tmp_path / "mixed.core", list(labels))
+            argv = ["--input", str(edges), "--core", str(tmp_path / "mixed.core"),
+                    "--r", "3"]
+        code, out, err = run_cli(
+            ["sweep", *argv, "--iterations", "30", "--seed", "4"], capsys
+        )
+        assert code == 0, err
+        cfg = UmhsConfig(iterations=30, seed=4, record_trajectory=True)
+        trajectory = umhs(graph, cfg, core=core).trajectory
+        assert len(set(trajectory)) > 1  # the union grows after round 1
+        assert csv_body(out).splitlines()[1:] == [
+            f"{i},{size},{overlap / len(core):.12g}"
+            for i, (size, overlap) in enumerate(trajectory, start=1)
+        ]
+
+
+NEGATIVE_SEED = "error: seed must be non-negative, got -1\n"
+
+
+def test_recover_rejects_a_negative_seed_whatever_the_methods(tmp_path, capsys):
+    (tmp_path / "g.edges").write_text("a b c\nc d e\n")
+    (tmp_path / "g.core").write_text("c\n")
+    code, out, err = run_cli(
+        ["recover", "--input", str(tmp_path / "g.edges"),
+         "--core", str(tmp_path / "g.core"), "--methods", "degree", "--seed", "-1"],
+        capsys,
+    )
+    assert (code, out, err) == (1, "", NEGATIVE_SEED)
+
+
+def test_generate_rejects_a_negative_seed(tmp_path, capsys):
+    prefix = tmp_path / "tree"
+    code, out, err = run_cli(
+        ["generate", "tree", "--seed", "-1", "--output", str(prefix)], capsys
+    )
+    assert (code, out, err) == (1, "", NEGATIVE_SEED)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rejects_a_negative_seed_before_reading_its_input(tmp_path, capsys):
+    # the files do not exist: the seed is refused before either is opened
+    code, out, err = run_cli(
+        ["sweep", "--input", str(tmp_path / "absent.edges"),
+         "--core", str(tmp_path / "absent.core"), "--seed", "-1"],
+        capsys,
+    )
+    assert (code, out, err) == (1, "", NEGATIVE_SEED)
 
 
 def without_wall_times(text):

@@ -1,19 +1,10 @@
-"""Tests for precision at core size, average precision, and iteration sweeps."""
+"""Tests for precision at core size and average precision."""
 
 import itertools
 
 import pytest
 
-from umhs import (
-    Ranking,
-    UmhsConfig,
-    auprc,
-    canonicalize,
-    precision_at_core_size,
-    random_hypergraph,
-    sweep,
-    umhs,
-)
+from umhs import Ranking, auprc, precision_at_core_size
 
 
 def ranking_from_order(order):
@@ -96,48 +87,3 @@ class TestAuprc:
         with pytest.raises(ValueError, match="empty"):
             auprc(ranking_from_order([0, 1]), set())
 
-
-class TestSweep:
-    def test_single_iteration_record(self):
-        G = random_hypergraph(10, 3, 9, seed=2)
-        core = umhs(G, UmhsConfig(iterations=1, seed=0)).union_set
-        records = sweep(G, core, 1, seed=0).records
-        assert len(records) == 1
-        assert records[0].iteration == 1
-        assert records[0].union_size == len(core)
-        assert records[0].recovered_fraction == 1.0
-
-    def test_union_sizes_non_decreasing(self):
-        G = random_hypergraph(12, 3, 14, seed=5)
-        core = umhs(G, UmhsConfig(iterations=1, seed=99)).union_set
-        records = sweep(G, core, 40, seed=1).records
-        sizes = [rec.union_size for rec in records]
-        assert sizes == sorted(sizes)
-        assert [rec.iteration for rec in records] == list(range(1, 41))
-
-    def test_recovered_fraction_monotone(self):
-        G = random_hypergraph(12, 3, 14, seed=5)
-        core = umhs(G, UmhsConfig(iterations=1, seed=99)).union_set
-        records = sweep(G, core, 40, seed=1).records
-        assert records[-1].recovered_fraction >= records[0].recovered_fraction
-        assert all(0.0 <= rec.recovered_fraction <= 1.0 for rec in records)
-
-    def test_matches_umhs_trajectory(self):
-        G = random_hypergraph(10, 3, 10, seed=7)
-        core = umhs(G, UmhsConfig(iterations=1, seed=50)).union_set
-        result = sweep(G, core, 15, seed=3)
-        direct = umhs(G, UmhsConfig(iterations=15, seed=3, record_trajectory=True), core=core)
-        assert [rec.union_size for rec in result.records] == [s for s, _ in direct.trajectory]
-        assert result.saturation_round == direct.saturation_round
-        assert result.rounds == direct.rounds
-        assert len(result.rounds.pruned) == 15
-
-    def test_deterministic(self):
-        G = random_hypergraph(10, 3, 10, seed=7)
-        core = umhs(G, UmhsConfig(iterations=1, seed=8)).union_set
-        assert sweep(G, core, 10, seed=4) == sweep(G, core, 10, seed=4)
-
-    def test_core_outside_node_range_rejected(self):
-        G = random_hypergraph(10, 3, 10, seed=7)
-        with pytest.raises(ValueError, match=r"core members outside node range: \[99\]"):
-            sweep(G, [0, 99], 3, 0)

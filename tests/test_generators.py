@@ -225,6 +225,10 @@ class TestConsistentLabeling:
             params, 5
         )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            consistent_labeling_hitting_set(TreeFamilyParams(b=2, r=3), -1)
+
     def test_union_over_labelings_covers_tree(self):
         # b=2, r=2 admits 8 distinct labelings; 120 seeds hit them all
         params = TreeFamilyParams(b=2, r=2)
@@ -255,6 +259,10 @@ class TestRandomHypergraph:
     def test_infeasible_count_rejected(self):
         with pytest.raises(ValueError):
             random_hypergraph(4, 2, 7, seed=0)  # only C(4,2)=6 pairs exist
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            random_hypergraph(9, 3, 7, seed=-1)
 
 
 class TestIndependenceThreshold:

@@ -21,7 +21,6 @@ from umhs import (
     SbmParams,
     UmhsConfig,
     canonicalize,
-    greedy_matching,
     greedy_matching_certificate,
     is_hitting_set,
     is_minimal_hitting_set,
@@ -44,18 +43,20 @@ def overlapping_triples():
 
 class TestGreedyMatching:
     def test_first_edge_blocks_second(self):
-        assert greedy_matching(overlapping_triples(), [0, 1]) == {0, 1, 2}
+        s, _ = greedy_matching_certificate(overlapping_triples(), [0, 1])
+        assert s == {0, 1, 2}
 
     def test_reversed_order(self):
-        assert greedy_matching(overlapping_triples(), [1, 0]) == {2, 3, 4}
+        s, _ = greedy_matching_certificate(overlapping_triples(), [1, 0])
+        assert s == {2, 3, 4}
 
     def test_disjoint_edges_take_everything(self):
         G = canonicalize(6, [[0, 1, 2], [3, 4, 5]])
         for order in itertools.permutations(range(2)):
-            assert greedy_matching(G, order) == set(range(6))
+            assert greedy_matching_certificate(G, order)[0] == set(range(6))
 
     def test_empty_graph(self):
-        assert greedy_matching(canonicalize(4, []), []) == frozenset()
+        assert greedy_matching_certificate(canonicalize(4, []), [])[0] == frozenset()
 
     def test_certificate_edges_disjoint_and_maximal(self):
         G = random_hypergraph(12, 4, 14, seed=2)
@@ -71,9 +72,9 @@ class TestGreedyMatching:
     def test_order_must_be_permutation(self):
         G = overlapping_triples()
         with pytest.raises(ValueError, match="permutation"):
-            greedy_matching(G, [0, 0])
+            greedy_matching_certificate(G, [0, 0])
         with pytest.raises(ValueError, match="permutation"):
-            greedy_matching(G, [0])
+            greedy_matching_certificate(G, [0])
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=60, deadline=None)
@@ -86,13 +87,13 @@ class TestGreedyMatching:
         except ValueError:
             return
         order = rng.permutation(len(G.edges))
-        assert is_hitting_set(G, greedy_matching(G, order))
+        assert is_hitting_set(G, greedy_matching_certificate(G, order)[0])
 
     def test_size_bounded_by_rank_times_optimum(self):
         for seed in range(10):
             G = random_hypergraph(10, 3, 8, seed=seed)
             k_star = min_hitting_set_size(G, LIMITS)
-            s = greedy_matching(G, range(len(G.edges)))
+            s = greedy_matching_certificate(G, range(len(G.edges)))[0]
             assert len(s) <= G.rank * k_star
 
 
@@ -103,7 +104,7 @@ class TestUmhs:
         G = random_hypergraph(10, 3, 9, seed=6)
         cfg = UmhsConfig(iterations=1, seed=42)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(1,)))
-        hit = greedy_matching(G, rng.permutation(len(G.edges)))
+        hit = greedy_matching_certificate(G, rng.permutation(len(G.edges)))[0]
         removal = [v for v in rng.permutation(G.n).tolist() if v in hit]
         assert umhs(G, cfg).union_set == prune_to_minimal(G, hit, removal)
 
@@ -132,6 +133,18 @@ class TestUmhs:
         cfg = UmhsConfig(iterations=20, seed=7)
         assert umhs(G, cfg) == umhs(G, cfg)
 
+    def test_trajectory_deterministic(self):
+        G = random_hypergraph(10, 3, 10, seed=7)
+        core = umhs(G, UmhsConfig(iterations=1, seed=8)).union_set
+        cfg = UmhsConfig(iterations=10, seed=4, record_trajectory=True)
+        assert umhs(G, cfg, core=core) == umhs(G, cfg, core=core)
+
+    def test_single_round_trajectory_holds_its_own_union(self):
+        G = random_hypergraph(10, 3, 9, seed=2)
+        core = umhs(G, UmhsConfig(iterations=1, seed=0)).union_set
+        cfg = UmhsConfig(iterations=1, seed=0, record_trajectory=True)
+        assert umhs(G, cfg, core=core).trajectory == ((len(core), len(core)),)
+
     def test_union_grows_with_iterations(self):
         G = random_hypergraph(14, 3, 16, seed=3)
         small = umhs(G, UmhsConfig(iterations=3, seed=5)).union_set
@@ -147,7 +160,7 @@ class TestUmhs:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=0, spawn_key=(iteration,))
             )
-            hit = greedy_matching(G, rng.permutation(len(G.edges)))
+            hit = greedy_matching_certificate(G, rng.permutation(len(G.edges)))[0]
             removal = [v for v in rng.permutation(G.n).tolist() if v in hit]
             sizes.append(len(prune_to_minimal(G, hit, removal)))
         assert result.union_set <= union_minimal(G, max(sizes), LIMITS)
