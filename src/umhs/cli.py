@@ -211,6 +211,10 @@ def _wall_time_note(dataset: str, stage: str, seconds: float) -> str:
 
 
 def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+    """Every selected method's row on the configured dataset, sorted by
+    method, and the notes for the '#' block.  z-eigen and h-eigen give no
+    row on an input that is not uniform; if no selected method can run,
+    ValueError is raised."""
     loading = time.perf_counter()
     graph, core, notes = _load(cfg)
     load_time = time.perf_counter() - loading
@@ -261,16 +265,6 @@ def _execute(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     notes.append(_wall_time_note(cfg.dataset, "load", load_time))
     notes.append(_wall_time_note(cfg.dataset, "evaluation", evaluation_time))
     return rows, notes
-
-
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Run every selected method on the configured dataset and evaluate it.
-
-    Rows come back sorted by (dataset, r, method).  z-eigen and h-eigen
-    give no row on an input that is not uniform; if no selected method
-    can run, ValueError is raised.
-    """
-    return _execute(cfg)[0]
 
 
 def write_results_csv(

@@ -93,13 +93,6 @@ class Hypergraph:
         np.cumsum(np.bincount(members, minlength=self.n), out=indptr[1:])
         return _read_only(indptr), _read_only(indices)
 
-    def degree(self, v: int) -> int:
-        """Number of hyperedges containing node v."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"node {v} outside 0..{self.n - 1}")
-        indptr = self.incidence_csr[0]
-        return int(indptr[v + 1] - indptr[v])
-
     def degrees(self) -> tuple[int, ...]:
         """Degree of every node, indexed by node."""
         return tuple(np.diff(self.incidence_csr[0]).tolist())

@@ -4,7 +4,7 @@ union of minimal hitting sets (UMHS), and the member-first node ranking."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -107,90 +107,23 @@ def greedy_matching_certificate(
 # Rounds per lockstep block: keeps each int32 permutation block near 1 MiB.
 # Sizing by max(m, n) rather than m alone also bounds the node-permutation
 # block.  On large instances a block still holds _MIN_BLOCK rounds, so that
-# the per-position numpy overhead is shared; memory then grows linearly in
+# the per-pass numpy overhead is shared; memory then grows linearly in
 # max(m, n) by a few dozen bytes per edge.  Either way block * max(m, n)
 # stays at most 2**31, which keeps every flat index below 2**31.
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK = 4
 _FLAT_LIMIT = 1 << 31
 
-# CSR slots gathered per chunk of positions, and first members per window of
-# the greedy's pre-filter; bounds the gathers' temporaries to a few hundred
-# KiB whatever the block size.
+# CSR slots per window of the in-order scans, and first members per window
+# of the greedy's pre-filter; bounds the gathers' temporaries to a few
+# hundred KiB whatever the block size.
 _CHUNK_SLOTS = 1 << 13
-
-# Edge positions per chunk of the greedy pass, for the positions its
-# pre-filter leaves.  The pass re-tests them exactly at chunk start and skips
-# every position whose rounds all have their edge hit by then, so a short
-# chunk keeps that test fresh; with few rounds per block the slot bound alone
-# would give chunks of over a thousand positions.
-_CHUNK_POSITIONS = 32
 
 
 def _block_size(G: Hypergraph, iterations: int) -> int:
     size = max(len(G.edges), G.n, 1)
     block = max(_MIN_BLOCK, _BLOCK_BYTES // (4 * size))
     return max(1, min(iterations, block, _FLAT_LIMIT // size))
-
-
-def _chunks(
-    indptr: np.ndarray,
-    values: np.ndarray,
-    perms: np.ndarray,
-    width: int,
-    limit: int,
-    total: int,
-):
-    """The CSR segments that B rounds visit at each position of perms, a
-    chunk of at most limit positions at a time.
-
-    perms is a (T, B) array of segment keys, column b being round b's order,
-    and total is the summed length of the segments of all its keys.  For
-    each chunk of positions this yields (slots, heads, lens): slots
-    concatenates, position by position, the segments
-    values[indptr[k]:indptr[k + 1]] of the keys k in perms, the one of round
-    b shifted by b * width so that slots index a flattened (B, width) array;
-    heads[t, b] is where round b's segment at the chunk's position t starts
-    in slots and lens[t, b] its length.  Every segment must be non-empty.
-    The work is linear in the total length of the segments.  Chunks are
-    sized from the mean length of the segments actually walked, so a chunk
-    holds about _CHUNK_SLOTS slots at most and the temporaries stay small
-    even when the keys are the longest segments of the view.
-    """
-    rounds = perms.shape[1]
-    shift = np.arange(rounds, dtype=np.int32) * width
-    mean_len = -(-total // max(1, perms.size))
-    chunk = max(1, min(limit, _CHUNK_SLOTS // (rounds * max(1, mean_len))))
-    for lo in range(0, len(perms), chunk):
-        keys = perms[lo:lo + chunk]
-        starts = indptr[keys]
-        lens = indptr[keys + 1] - starts
-        ends = np.cumsum(lens).reshape(lens.shape)
-        heads = ends - lens
-        flat_lens = lens.reshape(-1)
-        slots = values[
-            np.arange(ends[-1, -1]) + np.repeat((starts - heads).reshape(-1), flat_lens)
-        ]
-        slots += np.repeat(np.tile(shift, len(keys)), flat_lens)
-        yield slots, heads, lens
-
-
-def _rows(slots: np.ndarray, heads: np.ndarray, lens: np.ndarray, rows: Iterable[int]):
-    """The given positions of one chunk of _chunks, each as (slots, heads,
-    lens) of its own: its slots, where each round's segment starts in them,
-    and the segment lengths."""
-    begins = heads[:, 0].tolist()
-    stops = (heads[:, -1] + lens[:, -1]).tolist()
-    heads = heads - heads[:, :1]
-    for t in rows:
-        yield slots[begins[t]:stops[t]], heads[t], lens[t]
-
-
-def _steps(indptr: np.ndarray, values: np.ndarray, perms: np.ndarray, width: int):
-    """Every position of _chunks in turn, as _rows gives it."""
-    total = int(np.diff(indptr)[perms].sum())
-    for slots, heads, lens in _chunks(indptr, values, perms, width, len(perms), total):
-        yield from _rows(slots, heads, lens, range(len(heads)))
 
 
 def _edge_counts(G: Hypergraph, member: np.ndarray) -> np.ndarray:
@@ -220,15 +153,73 @@ def _edge_counts(G: Hypergraph, member: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _take_unhit(
-    member_flat: np.ndarray, slots: np.ndarray, heads: np.ndarray, lens: np.ndarray
-) -> np.ndarray:
-    """One greedy position of B rounds: each round whose edge, its segment of
-    slots, has no member yet takes the whole edge.  Returns the (B,) bool
-    mask of the rounds that took it."""
-    unhit = ~np.logical_or.reduceat(member_flat[slots], heads)
-    member_flat[slots[np.repeat(unhit, lens)]] = True
-    return unhit
+def _in_order(
+    indptr: np.ndarray,
+    values: np.ndarray,
+    perms: np.ndarray,
+    pairs: np.ndarray,
+    scratch: np.ndarray,
+    settled: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    act: Callable[[np.ndarray, np.ndarray], None],
+) -> int:
+    """Run one window of B sequential scans, deciding every step as the
+    scans would in turn, in a few whole-array passes; returns the number of
+    passes.
+
+    Column b of the (T, B) perms is round b's scan order, and its step t
+    visits the key k = perms[t, b], whose resources are the non-empty CSR
+    segment values[indptr[k]:indptr[k + 1]], shifted by b * width so that
+    no two rounds share one; width is len(scratch) // B.  pairs are the
+    ascending flat indices t * B + b of the window's steps, and every
+    earlier step of their rounds must be decided.  Each pass drops the
+    pairs that settled(slots, heads) marks, those whose step changes
+    nothing now or later, then applies act(pairs, slots) to the ready pairs
+    at once: a pair is ready when its position is the smallest of its
+    round's remaining pairs at every one of its resources.  Ready pairs
+    share no resource, so each sees the state its own turn would.  Every
+    round's first remaining pair is ready, so a window takes at most as
+    many passes as it holds positions.  This is the prefix form of
+    Blelloch, Fineman and Shun, "Greedy sequential maximal independent set
+    and matching are parallel on average" (SPAA 2012).
+
+    slots concatenates the pairs' shifted resources, pair i's from
+    heads[i].  The positions are written with np.minimum.at into scratch,
+    one int32 per resource, whose values are back before each act.  A
+    resource whose value exceeds the most pairs any round has in the window
+    orders none of them: the prune keeps its hit counts there, and since
+    each drop lowers a count by one, such an edge holds a second member at
+    the turn of every member of the window, in any order.
+    """
+    rounds = perms.shape[1]
+    width = len(scratch) // rounds
+    pairs = pairs.astype(np.int32)
+    keys = perms.reshape(-1)[pairs]
+    starts = indptr[keys]
+    lens = indptr[keys + 1] - starts
+    ends = np.cumsum(lens)
+    heads = ends - lens
+    slots = np.repeat(starts - heads, lens)
+    slots += np.arange(len(slots))
+    slots = values[slots]
+    slots += np.repeat(pairs % rounds * width, lens)
+    limit = np.bincount(pairs % rounds).max()
+    done = settled(slots, heads)
+    passes = 0
+    while not done.all():
+        slots = slots[np.repeat(~done, lens)]
+        pairs, lens = pairs[~done], lens[~done]
+        heads = np.cumsum(lens) - lens
+        at = np.repeat(pairs, lens)
+        saved = scratch[slots]
+        scratch[slots] = np.iinfo(np.int32).max
+        np.minimum.at(scratch, slots, at)
+        first = (scratch[slots] == at) | (saved > limit)
+        scratch[slots] = saved
+        ready = np.logical_and.reduceat(first, heads)
+        act(pairs[ready], slots[np.repeat(ready, lens)])
+        done = ready | settled(slots, heads)
+        passes += 1
+    return passes
 
 
 def _greedy_rounds(
@@ -236,17 +227,14 @@ def _greedy_rounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy sets of B rounds from their (m, B) edge permutations.
 
-    At position t every round takes its t-th edge if the edge is unhit.
-    Membership only grows, so an edge hit at some point stays hit.  The
-    pass walks windows of positions, and at each window's start one gather
-    tests the first r_min members of every round's edge there, r_min being
-    the smallest edge size: a position whose edge is shown hit in every
-    round is skipped.  The test is exact on uniform inputs and conservative
-    otherwise.  The other positions go through _chunks in short chunks, and
-    an exact test over all their slots at each chunk's start marks the
-    positions at which some round's edge is still unhit; only those take a
-    step.  Returns the (B, n) bool membership array and the (B,) number of
-    edges each round took.
+    Round b's scan, column b, takes each edge that has no member yet: an
+    _in_order scan whose resources are an edge's members and whose settled
+    pairs are the edges already hit, which stay hit.  The scan goes in
+    windows of positions, and at each window's start one gather tests the
+    first r_min members of every round's edge there, r_min being the
+    smallest edge size; only the pairs it leaves unhit enter _in_order.
+    Returns the (B, n) bool membership array and the (B,) number of edges
+    each round took.
     """
     m, rounds = edge_perms.shape
     member = np.zeros((rounds, G.n), dtype=bool)
@@ -255,28 +243,27 @@ def _greedy_rounds(
     if not m:
         return member, matched
     indptr, nodes = G.edge_csr
-    sizes = np.diff(indptr)
-    r_min = int(sizes.min())
+    r_min = int(np.diff(indptr).min())
     # heads[j, e] is the j-th member of edge e, for every j < r_min
     heads = nodes[indptr[:-1] + np.arange(r_min)[:, None]]
     shift = np.arange(rounds, dtype=np.int32) * G.n
+    scratch = np.zeros(rounds * G.n, dtype=np.int32)
+
+    def hit(slots: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return np.logical_or.reduceat(member_flat[slots], starts)
+
+    def take(pairs: np.ndarray, slots: np.ndarray) -> None:
+        member_flat[slots] = True
+        np.add.at(matched, pairs % rounds, 1)
+
     window = max(1, _CHUNK_SLOTS // (rounds * r_min))
     for lo in range(0, m, window):
         keys = edge_perms[lo:lo + window]
         firsts = np.take(heads, keys, axis=1)
         firsts += shift
-        seen = np.take(member_flat, firsts).any(axis=0)
-        live = keys[~seen.all(axis=1)]
-        if not len(live):
-            continue
-        total = int(sizes[live].sum())
-        for slots, starts, lens in _chunks(
-            indptr, nodes, live, G.n, _CHUNK_POSITIONS, total
-        ):
-            hit = np.logical_or.reduceat(member_flat[slots], starts.reshape(-1))
-            active = np.flatnonzero(~hit.reshape(starts.shape).all(axis=1))
-            for step in _rows(slots, starts, lens, active.tolist()):
-                matched += _take_unhit(member_flat, *step)
+        live = np.flatnonzero(~np.take(member_flat, firsts).any(axis=0))
+        if len(live):
+            _in_order(indptr, nodes, edge_perms, live + lo * rounds, scratch, hit, take)
     return member, matched
 
 
@@ -342,65 +329,48 @@ def _settle_rounds(
     )
 
 
-def _walk_rounds(
-    G: Hypergraph, member: np.ndarray, counts: np.ndarray, node_perms: np.ndarray
-) -> None:
-    """Walk every row of member in place along its node order, one Python
-    step per position, keeping counts, the (B, m) hits of each row's set on
-    each edge, up to date.
-
-    node_perms is (T, B): column b lists round b's nodes in its removal
-    order.  At position t every round drops its t-th node if it is a member
-    and every edge containing it is hit at least twice; a non-member never
-    drops, so padding with non-members changes nothing.
-    """
-    counts_flat = counts.reshape(-1)
-    member_flat = member.reshape(-1)
-    row_n = np.arange(member.shape[0], dtype=np.int32) * G.n
-    indptr, edge_ids = G.incidence_csr
-    steps = _steps(indptr, edge_ids, node_perms, len(G.edges))
-    for perm_row, (slots, heads, lens) in zip(node_perms, steps):
-        nodes = row_n + perm_row
-        drop = member_flat[nodes] & (np.minimum.reduceat(counts_flat[slots], heads) > 1)
-        member_flat[nodes[drop]] = False
-        counts_flat[slots[np.repeat(drop, lens)]] -= 1
-
-
 def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> None:
     """Prune every row of member in place along its node order.
 
     node_perms is (T, B): column b lists round b's greedy members in its
     removal order, possibly mixed with nodes that lie in some edge but are
-    no members.  Each row ends as _walk_rounds over its whole order would
-    leave it, but a settle first decides, in whole-array steps, every member
-    that any order keeps or drops (_settle_rounds).  A keeper is the only
-    member of some edge and never drops; a member whose every edge holds a
-    keeper always drops, and all of these drop at once.  They lie only in
-    held edges, where every present member's count stays at least 2, so
-    dropping them changes no undecided member's test.  For the same reason
-    the walk may use the counts from before the settle, stale only on held
-    edges.  Only the undecided members are walked, moved to the front of
-    each column (_members_first), and no walk is taken when no round has
-    any.
+    no members.  At its turn a member drops if every edge containing it
+    holds another member.  A settle first decides, in whole-array steps,
+    every member that any order keeps or drops (_settle_rounds).  A keeper
+    is the only member of some edge and never drops; a member whose every
+    edge holds a keeper always drops, and all of these drop at once.  They
+    lie only in held edges, where every present member's count stays at
+    least 2, so dropping them changes no undecided member's test, and the
+    rest may use the counts from before the settle, stale only on held
+    edges.  Only the undecided members are then scanned, through _in_order
+    in windows of about _CHUNK_SLOTS incidence slots: a member's resources
+    are its edges, the hit counts serve as its scratch, a member alone in
+    some edge is settled and kept, and a ready member that is not drops.
     """
     counts = _edge_counts(G, member)
     keep, drop = _settle_rounds(G, member, counts)
     member &= ~drop
     undecided = member & ~keep
-    width = undecided.sum(axis=1)
-    if width.any():
-        _walk_rounds(G, member, counts, _members_first(undecided, node_perms, width))
+    if not undecided.any():
+        return
+    rounds = len(member)
+    pairs = np.flatnonzero(undecided[np.arange(rounds), node_perms])
+    indptr, edge_ids = G.incidence_csr
+    counts_flat = counts.reshape(-1)
+    member_flat = member.reshape(-1)
+    keys = node_perms.reshape(-1)
 
+    def alone(slots: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(counts_flat[slots], heads) == 1
 
-def _members_first(
-    member: np.ndarray, node_perms: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """The first max(sizes) rows of node_perms after moving, in each column
-    b, round b's members (row b of member, sizes[b] of them) ahead of its
-    other nodes; both groups keep the column's order."""
-    inside = member[np.arange(node_perms.shape[1]), node_perms]
-    order = np.argsort(~inside, axis=0, kind="stable")[:int(sizes.max())]
-    return np.take_along_axis(node_perms, order, axis=0)
+    def remove(ready: np.ndarray, slots: np.ndarray) -> None:
+        member_flat[ready % rounds * G.n + keys[ready]] = False
+        # an int32 one keeps ufunc.at on its fast path
+        np.subtract.at(counts_flat, slots, np.int32(1))
+
+    window = np.cumsum(np.diff(indptr)[keys[pairs]]) // _CHUNK_SLOTS
+    for part in np.split(pairs, np.flatnonzero(np.diff(window)) + 1):
+        _in_order(indptr, edge_ids, node_perms, part, counts_flat, alone, remove)
 
 
 def _check_rounds(G: Hypergraph, member: np.ndarray) -> None:
@@ -422,9 +392,10 @@ def _lockstep_rounds(
     prune_to_minimal(greedy_matching_certificate(G, edge_perm)[0],
     node_perm filtered to the greedy set), with both permutations drawn from
     the round's own stream in that order.  Nodes in no edge never join a
-    greedy set, so they are left out of the node orders.  The greedy pass is
-    _greedy_rounds, the prune _prune_rounds, and _check_rounds (skipped
-    under ``python -O``) asserts that every set is a minimal hitting set.
+    greedy set, so they are left out of the node orders.  The greedy pass
+    (_greedy_rounds) and the prune (_prune_rounds) each scan all rounds at
+    once through _in_order, and _check_rounds (skipped under ``python -O``)
+    asserts that every set is a minimal hitting set.
     Row b of the returned (hi - lo, 3) int array holds that round's
     matching, greedy and pruned sizes.
     """

@@ -45,7 +45,7 @@ from umhs import (
     umhs,
     union_minimal,
 )
-from umhs.cli import ExperimentConfig, run_experiment, write_results_csv
+from umhs.cli import ExperimentConfig, _execute, write_results_csv
 from umhs.dataio import read_hypergraph, write_hypergraph
 
 LIMITS = OracleLimits(max_nodes=26, max_k=12, time_budget=120.0)
@@ -388,7 +388,7 @@ def test_c13_determinism_and_round_trip(tmp_path):
     for _ in range(2):
         cfg = cfg_factory()
         buf = io.StringIO()
-        write_results_csv(run_experiment(cfg), buf, cfg)
+        write_results_csv(_execute(cfg)[0], buf, cfg)
         bodies.append(
             "\n".join(
                 line for line in buf.getvalue().splitlines()

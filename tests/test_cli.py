@@ -33,8 +33,8 @@ from umhs.dataio import read_hypergraph, write_core, write_hypergraph
 from umhs.cli import (
     ExperimentConfig,
     _build_parser,
+    _execute,
     main,
-    run_experiment,
     write_results_csv,
 )
 
@@ -97,7 +97,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             dataset="sbm", sbm=SbmParams(5, 12, 3, 0.6, 0.05, seed=1), iterations=10
         )
-        rows = run_experiment(cfg)
+        rows = _execute(cfg)[0]
         assert len(rows) == 7
         assert [row.method for row in rows] == sorted(row.method for row in rows)
         assert {row.dataset for row in rows} == {"sbm"}
@@ -110,7 +110,7 @@ class TestRunExperiment:
             methods=("umhs", "degree"),
             iterations=10,
         )
-        rows = {row.method: row for row in run_experiment(cfg)}
+        rows = {row.method: row for row in _execute(cfg)[0]}
         n = sbm_hypergraph(SbmParams(5, 12, 3, 0.6, 0.05, seed=1)).graph.n
         assert rows["degree"].output_size == n
         assert rows["umhs"].output_size <= n
@@ -128,7 +128,7 @@ class TestRunExperiment:
             methods=("umhs",),
             iterations=100,
         )
-        (row1,), (row100,) = run_experiment(small), run_experiment(large)
+        (row1,), (row100,) = _execute(small)[0], _execute(large)[0]
         assert row1.output_size <= row100.output_size
         assert 0.0 <= row100.auprc <= 1.0
 
@@ -136,7 +136,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             dataset="sbm", sbm=SbmParams(4, 9, 3, 0.7, 0.1, seed=5), iterations=5
         )
-        for row in run_experiment(cfg):
+        for row in _execute(cfg)[0]:
             assert 0.0 <= row.precision_at_core <= 1.0
             assert 0.0 <= row.auprc <= 1.0
             assert row.wall_time >= 0.0
@@ -150,7 +150,7 @@ class TestCsvEmission:
             methods=("umhs", "degree", "k-core"),
             iterations=8,
         )
-        rows = run_experiment(cfg)
+        rows = _execute(cfg)[0]
         buf = io.StringIO()
         write_results_csv(rows, buf, cfg)
         return buf.getvalue()

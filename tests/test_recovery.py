@@ -246,17 +246,6 @@ def reference_umhs(G, iterations, seed, core):
     return union, tuple(trajectory), saturation, rounds
 
 
-def unskipped_greedy_rounds(G, edge_perms):
-    """The lockstep greedy pass without the chunk skip: every edge position
-    takes a step.  Returns the (B, n) membership and the (B,) edges taken."""
-    member = np.zeros((edge_perms.shape[1], G.n), dtype=bool)
-    matched = np.zeros(edge_perms.shape[1], dtype=np.int64)
-    indptr, nodes = G.edge_csr
-    for step in recovery._steps(indptr, nodes, edge_perms, G.n):
-        matched += recovery._take_unhit(member.reshape(-1), *step)
-    return member, matched
-
-
 def prune_inputs(G, seed, lo, hi):
     """The greedy membership and the node block that _lockstep_rounds hands
     its prune for rounds lo..hi-1, as they were before the prune."""
@@ -284,27 +273,27 @@ def settle_reference(G, hit):
     return keep, drop
 
 
-def count_walked(fn, *args):
-    """fn(*args) and the number of node positions the prune's walk took."""
-    walked = 0
-    steps = recovery._steps
+def scans(G, fn, *args):
+    """fn(*args) and the _in_order windows it ran, split into the greedy's
+    and the prune's: for each window the pairs it was given, the slots they
+    hold, the most pairs of one round and the passes it took."""
+    windows = {"greedy": [], "prune": []}
+    scan = recovery._in_order
 
-    def spy(*step_args):
-        nonlocal walked
-        for step in steps(*step_args):
-            walked += 1
-            yield step
+    def spy(indptr, values, perms, pairs, *rest):
+        passes = scan(indptr, values, perms, pairs, *rest)
+        keys = perms.reshape(-1)[pairs]
+        windows["greedy" if values is G.edge_csr[1] else "prune"].append(SimpleNamespace(
+            pairs=len(pairs),
+            slots=int(np.diff(indptr)[keys].sum()),
+            per_round=int(np.bincount(pairs % perms.shape[1]).max()),
+            passes=passes,
+        ))
+        return passes
 
-    with mock.patch.object(recovery, "_steps", spy):
+    with mock.patch.object(recovery, "_in_order", spy):
         out = fn(*args)
-    return walked, out
-
-
-def count_steps(fn, *args):
-    """fn(*args) and the number of greedy steps it took."""
-    with mock.patch.object(recovery, "_take_unhit", wraps=recovery._take_unhit) as spy:
-        out = fn(*args)
-    return spy.call_count, out
+    return windows, out
 
 
 @st.composite
@@ -333,8 +322,8 @@ def huge_edge_plus_pairs(size, pairs):
     return Hypergraph(n=size + pairs, edges=tuple(sorted(edges)))
 
 
-def chunked_hypergraphs():
-    """Graphs with enough edges for many greedy chunks, besides the small
+def windowed_hypergraphs():
+    """Graphs with enough edges for many scan windows, besides the small
     mixed ones: a hub in every edge, and one huge edge among pairs."""
     return st.one_of(
         mixed_hypergraphs(),
@@ -348,29 +337,25 @@ def chunked_hypergraphs():
     )
 
 
-# Edge positions per greedy chunk: 1 steps a chunk at every position, and
-# 10**6 exceeds every m drawn, so the whole pass is one chunk.
-CHUNK_POSITIONS = st.sampled_from([1, 2, 3, 7, 31, 10**6])
-
-# Slots per chunk, which also size the greedy's pre-filter windows: 1 gives
-# windows of one position, and 64 windows that span many chunks when the
-# chunk cap is short.
+# Slots per window of the in-order scans: 1 gives greedy windows of one
+# position and prune windows of one member, 8192 (the default) often one
+# window for the whole block.
 CHUNK_SLOTS = st.sampled_from([1, 7, 64, recovery._CHUNK_SLOTS])
 
 
 class TestLockstepRounds:
     @given(
-        chunked_hypergraphs(),
+        windowed_hypergraphs(),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=50),
         st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4),
-        CHUNK_POSITIONS,
+        CHUNK_SLOTS,
     )
     @settings(max_examples=100, deadline=None)
-    def test_rows_match_reference_rounds(self, G, seed, lo, block_sizes, chunk):
+    def test_rows_match_reference_rounds(self, G, seed, lo, block_sizes, slots):
         # the rounds lo.. split into consecutive blocks of the drawn sizes
         bounds = np.cumsum([lo] + block_sizes).tolist()
-        with mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk):
+        with mock.patch.object(recovery, "_CHUNK_SLOTS", slots):
             blocks = [
                 recovery._lockstep_rounds(G, seed, start, stop)
                 for start, stop in zip(bounds, bounds[1:])
@@ -385,18 +370,18 @@ class TestLockstepRounds:
             assert tuple(sizes[b].tolist()) == round_sizes, f"round {i}"
 
     @given(
-        chunked_hypergraphs(),
+        windowed_hypergraphs(),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=1, max_value=8),
-        CHUNK_POSITIONS,
+        CHUNK_SLOTS,
     )
     @settings(max_examples=80, deadline=None)
-    def test_union_and_trajectory_match_reference(self, G, seed, iterations, block, chunk):
+    def test_union_and_trajectory_match_reference(self, G, seed, iterations, block, slots):
         core = frozenset(range(0, G.n, 2))
         cfg = UmhsConfig(iterations=iterations, seed=seed, record_trajectory=True)
         with mock.patch.object(recovery, "_block_size", lambda G, it: block), \
-                mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk):
+                mock.patch.object(recovery, "_CHUNK_SLOTS", slots):
             result = umhs(G, cfg, core=core)
         union, trajectory, saturation, rounds = reference_umhs(G, iterations, seed, core)
         assert result.union_set == union
@@ -405,36 +390,34 @@ class TestLockstepRounds:
         assert result.rounds == rounds
 
     @given(
-        chunked_hypergraphs(),
+        windowed_hypergraphs(),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=8),
-        CHUNK_POSITIONS,
         CHUNK_SLOTS,
     )
     @settings(max_examples=100, deadline=None)
-    def test_greedy_rows_match_certificate(self, G, seed, rounds, chunk, slots):
+    def test_greedy_rows_match_certificate(self, G, seed, rounds, slots):
         # the greedy pass alone, before any prune, round by round
         m = len(G.edges)
         edge_perms = np.empty((m, rounds), dtype=np.int32)
         for b in range(rounds):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
             edge_perms[:, b] = rng.permutation(m)
-        with mock.patch.object(recovery, "_CHUNK_POSITIONS", chunk), \
-                mock.patch.object(recovery, "_CHUNK_SLOTS", slots):
-            steps, (member, matched) = count_steps(recovery._greedy_rounds, G, edge_perms)
+        with mock.patch.object(recovery, "_CHUNK_SLOTS", slots):
+            windows, (member, matched) = scans(G, recovery._greedy_rounds, G, edge_perms)
         for b in range(rounds):
             hit, selected = greedy_matching_certificate(G, edge_perms[:, b])
             assert frozenset(np.flatnonzero(member[b]).tolist()) == hit, f"round {b}"
             assert matched[b] == len(selected), f"round {b}"
-        unskipped_member, unskipped_matched = unskipped_greedy_rounds(G, edge_perms)
-        assert (member == unskipped_member).all()
-        assert (matched == unskipped_matched).all()
-        # a chunk that takes no edge leaves membership unchanged, so none of
-        # its positions steps; one that takes an edge steps at most chunk times
-        assert steps <= min(m, chunk * int(matched.sum()))
+        # every pass takes the first remaining edge of some round, so a
+        # window takes at most as many passes as one round has pairs in it,
+        # and the block at most as many as its rounds take edges
+        for window in windows["greedy"]:
+            assert window.passes <= window.per_round
+        assert sum(window.passes for window in windows["greedy"]) <= int(matched.sum())
 
     @given(
-        chunked_hypergraphs(),
+        windowed_hypergraphs(),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=8),
     )
@@ -450,75 +433,38 @@ class TestLockstepRounds:
             [int(member[b, list(e)].sum()) for e in G.edges] for b in range(rounds)
         ]
 
-    def test_skip_leaves_few_greedy_steps(self):
-        # recover's second bench instance at seed 1: 301 steps over the
-        # 2594 edge positions of its one 100-round block
+    def test_prefilter_leaves_few_greedy_pairs(self):
+        # recover's second bench instance at seed 1: of the 259,400
+        # (position, round) pairs of its one 100-round block, the first-member
+        # pre-filter sends 4,994 to the in-order scan, which decides them in
+        # 26 passes over 19 of the 97 windows
         G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
-        blocks = -(-100 // recovery._block_size(G, 100))
-        steps, _ = count_steps(umhs, G, UmhsConfig(iterations=100, seed=1))
-        assert steps <= 0.2 * blocks * len(G.edges)
+        windows, _ = scans(G, umhs, G, UmhsConfig(iterations=100, seed=1))
+        greedy = windows["greedy"]
+        assert 0 < sum(window.pairs for window in greedy) <= 0.05 * 100 * len(G.edges)
+        assert sum(window.passes for window in greedy) <= 100
 
     def test_prefilter_leaves_few_greedy_slots(self):
-        # recover's second bench instance at seed 1: the greedy's exact test
-        # gathers 90,300 of the 778,200 slots that its 100 rounds' edges
-        # hold; without the first-member pre-filter it gathered them all
+        # the same block: the pairs that reach the in-order scan hold 14,982
+        # of the 778,200 slots of its 100 rounds' edges; before the scan the
+        # exact test gathered 90,300, and without the pre-filter all of them
         G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
-        indptr, nodes = G.edge_csr
-        chunks = recovery._chunks
-        gathered = 0
+        windows, _ = scans(G, umhs, G, UmhsConfig(iterations=100, seed=1))
+        gathered = sum(window.slots for window in windows["greedy"])
+        assert 0 < gathered <= 0.05 * 100 * int(G.edge_csr[0][-1])
 
-        def spy(indptr, values, *args):
-            nonlocal gathered
-            for chunk in chunks(indptr, values, *args):
-                if values is nodes:
-                    gathered += len(chunk[0])
-                yield chunk
-
-        with mock.patch.object(recovery, "_chunks", spy):
-            umhs(G, UmhsConfig(iterations=100, seed=1))
-        assert 0 < gathered <= 0.2 * 100 * int(indptr[-1])
-
-    def test_short_block_steps_bounded_by_position_cap(self):
-        # a 2-round block: the slot bound alone would allow chunks of
-        # 8192 // (2 * 3) = 1365 positions, and every position of the first
-        # would step; 73 of the 2665 positions step with the cap
+    def test_short_block_passes_bounded(self):
+        # a 2-round block: its windows hold 8192 // (2 * 3) = 1365 positions,
+        # and the first window's 2730 pairs are decided in 3 passes, while
+        # the two rounds take 69 edges between them
         G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 2)).graph
-        steps, (_, sizes) = count_steps(recovery._lockstep_rounds, G, 1, 99, 101)
-        assert steps <= recovery._CHUNK_POSITIONS * int(sizes[:, 0].sum())
-        assert steps <= 0.05 * len(G.edges)
+        windows, (_, sizes) = scans(G, recovery._lockstep_rounds, G, 1, 99, 101)
+        passes = sum(window.passes for window in windows["greedy"])
+        assert passes <= int(sizes[:, 0].sum())
+        assert passes <= 10
 
     @given(
-        chunked_hypergraphs(),
-        st.integers(min_value=0, max_value=2**32),
-        st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_compacted_prune_matches_full_walk(self, G, seed, rounds):
-        # the prune over the members-first block against the prune over
-        # every covered node of each round's order
-        rng = np.random.default_rng(seed)
-        covered = np.flatnonzero(np.diff(G.incidence_csr[0]))
-        edge_perms = np.array(
-            [rng.permutation(len(G.edges)) for _ in range(rounds)], dtype=np.int32).T
-        node_perms = np.array(
-            [rng.permutation(covered) for _ in range(rounds)], dtype=np.int32).T
-        member, _ = recovery._greedy_rounds(G, edge_perms)
-        greedy = member.sum(axis=1)
-        compact = recovery._members_first(member, node_perms, greedy)
-        assert compact.shape == (max(greedy.tolist(), default=0), rounds)
-        for b, order in enumerate(node_perms.T):
-            members = order[member[b, order]]
-            assert compact[:greedy[b], b].tolist() == members.tolist(), f"round {b}"
-            padding = compact[greedy[b]:, b]
-            assert not member[b, padding].any(), f"round {b}"
-            assert set(padding.tolist()) <= set(covered.tolist()), f"round {b}"
-        full = member.copy()
-        recovery._prune_rounds(G, full, node_perms)
-        recovery._prune_rounds(G, member, compact)
-        assert (member == full).all()
-
-    @given(
-        chunked_hypergraphs(),
+        windowed_hypergraphs(),
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=8),
     )
@@ -552,18 +498,17 @@ class TestLockstepRounds:
     def test_settle_leaves_no_walk_on_the_recover_shape(self):
         # recover's second bench instance at seed 1: every member each round
         # keeps is alone in some edge of its greedy set, and every other
-        # member's edges all hold such a member, so the prune walks no
-        # position; before the settle it walked 120
+        # member's edges all hold such a member, so the prune scans no
+        # member; before the settle it walked 120 positions
         G = sbm_hypergraph(SbmParams(40, 450, 3, 0.05, 0.0005, 3)).graph
-        walked, result = count_walked(umhs, G, UmhsConfig(iterations=100, seed=1))
-        assert walked == 0
+        windows, result = scans(G, umhs, G, UmhsConfig(iterations=100, seed=1))
+        assert windows["prune"] == []
         assert sum(result.rounds.pruned) < sum(result.rounds.greedy)
 
     def test_prune_walks_only_the_undecided_members(self):
         # random_hypergraph(300, 3, 5000, 0) at seed 1, where the walk still
-        # runs: the settle decides about half the members, and each block's
-        # walk takes max(undecided per round) positions (189 and 198), not
-        # max(greedy) (293 and 292)
+        # runs: the settle decides about half the members, and only the
+        # undecided members of each round enter the in-order scan
         G = random_hypergraph(300, 3, 5000, seed=0)
         block = recovery._block_size(G, 100)
         for lo in range(1, 101, block):
@@ -574,16 +519,13 @@ class TestLockstepRounds:
                 hit = set(np.flatnonzero(row).tolist())
                 keep, drop = settle_reference(G, hit)
                 undecided.append(len(hit - keep - drop))
-            with mock.patch.object(
-                recovery, "_walk_rounds", wraps=recovery._walk_rounds
-            ) as spy:
-                recovery._prune_rounds(G, member, node_perms)
-            widths = [call.args[3].shape for call in spy.call_args_list]
-            assert widths == [(max(undecided), len(member))], f"block at {lo}"
-            assert max(undecided) <= max(greedy), f"block at {lo}"
+            windows, _ = scans(G, recovery._prune_rounds, G, member, node_perms)
+            scanned = sum(window.pairs for window in windows["prune"])
+            assert scanned == sum(undecided), f"block at {lo}"
+            assert scanned < greedy.sum(), f"block at {lo}"
 
     def test_prune_chunk_temporaries_bounded(self):
-        # chunks are sized from the degrees of the members the prune walks,
+        # windows are sized from the degrees of the members the prune scans,
         # here the first 52-round block of random_hypergraph(300, 3, 5000, 0)
         # at seed 1, where the walk still runs: the prune's temporaries stay
         # within 400 kB beyond the (B, m) int32 hit counts that it needs
@@ -702,7 +644,7 @@ class TestLockstepRounds:
         # python -O strips the per-block minimality check; it must not
         # change what umhs returns
         # the second graph has m >= 1000, so its greedy pass runs many
-        # chunks after the first
+        # windows after the first
         script = (
             "import sys\n"
             "from umhs import UmhsConfig, random_hypergraph, umhs\n"
