@@ -192,6 +192,7 @@ def _in_order(
     """
     rounds = perms.shape[1]
     width = len(scratch) // rounds
+    # int32 positions keep np.minimum.at on its fast path
     pairs = pairs.astype(np.int32)
     keys = perms.reshape(-1)[pairs]
     starts = indptr[keys]
@@ -335,17 +336,15 @@ def _prune_rounds(G: Hypergraph, member: np.ndarray, node_perms: np.ndarray) -> 
     node_perms is (T, B): column b lists round b's greedy members in its
     removal order, possibly mixed with nodes that lie in some edge but are
     no members.  At its turn a member drops if every edge containing it
-    holds another member.  A settle first decides, in whole-array steps,
-    every member that any order keeps or drops (_settle_rounds).  A keeper
-    is the only member of some edge and never drops; a member whose every
-    edge holds a keeper always drops, and all of these drop at once.  They
+    holds another member.  The settle (_settle_rounds) first decides every
+    member that any order keeps or drops, and its drops go at once: they
     lie only in held edges, where every present member's count stays at
-    least 2, so dropping them changes no undecided member's test, and the
-    rest may use the counts from before the settle, stale only on held
-    edges.  Only the undecided members are then scanned, through _in_order
-    in windows of about _CHUNK_SLOTS incidence slots: a member's resources
-    are its edges, the hit counts serve as its scratch, a member alone in
-    some edge is settled and kept, and a ready member that is not drops.
+    least 2, so they change no undecided member's test, and the scan may
+    use the counts from before the settle, stale only on held edges.  The
+    undecided members alone then go through _in_order, in windows of about
+    _CHUNK_SLOTS incidence slots, with their edges as resources and the hit
+    counts as scratch: a member alone in some edge is settled (kept), and a
+    ready member that is not drops.
     """
     counts = _edge_counts(G, member)
     keep, drop = _settle_rounds(G, member, counts)
